@@ -1,13 +1,13 @@
 // Sharded multi-FPGA execution (Sec 6.4 made runnable, host/shard.hpp):
 // one GEMM / GEMV split across the FPGAs of a 3-chassis x 2-node system,
 // single-device vs l in {1, 2, 3, 6}, with the scatter/gather transfer legs
-// charged through the machine's RocketIO and RapidArray channels.
+// charged at the RocketIO and RapidArray link rates.
 //
 // Hard gates, enforced in-binary (the shard-smoke CI job leans on this
 // binary's exit code):
 //   * GEMM values must be bit-identical to the single-device run at every
-//     l, and the channel-driven simulation must land on the analytic model
-//     (ShardPlan::model_cycles) cycle-for-cycle.
+//     l, and the timeline of the observed engine cycles must land on the
+//     planned model (ShardPlan::model_cycles) cycle-for-cycle.
 //   * GEMV sharded runs must be rerun-deterministic bit for bit.
 //   * l = 1 must cost exactly the single-device cycle count.
 // Simulated cycle counts are deterministic, so tools/bench_compare treats

@@ -84,7 +84,8 @@ MxvOutcome SpmxvEngine::run(const CrsMatrix& a, const std::vector<double>& x) {
   std::vector<u64> xbits(a.cols);
   std::memcpy(xbits.data(), x.data(), a.cols * sizeof(double));
   std::vector<u64> vbits(a.values.size());
-  std::memcpy(vbits.data(), a.values.data(), a.values.size() * sizeof(double));
+  if (!vbits.empty())  // an all-zero matrix has no values (null data())
+    std::memcpy(vbits.data(), a.values.data(), vbits.size() * sizeof(double));
 
   const fp::Backend& be = fp::active_backend();
   fp::MultiplierBank mults(std::max(2u, k), cfg_.multiplier_stages);

@@ -49,79 +49,68 @@ struct OpState {
   u64 submit_ns = 0;
 };
 
+using OpStatePtr = std::unique_ptr<OpState>;
+
 /// Per-worker slab of recycled OpStates with a mutex-guarded global
 /// spillover. Acquire prefers the calling thread's local free list; a
 /// worker releases into its own list and overflows into the global one,
 /// which is where a dedicated submitter thread (serve daemon, benchmarks)
 /// refills from — states circulate instead of being reallocated per op.
+/// Both lists own their states, so whatever is parked in them at thread or
+/// process exit is freed with them.
 class OpSlab {
  public:
-  static OpState* acquire() {
-    auto& loc = local().states;
-    if (!loc.empty()) {
-      OpState* s = loc.back();
-      loc.pop_back();
-      return s;
-    }
+  static OpStatePtr acquire() {
+    auto& loc = local();
+    if (!loc.empty()) return pop(loc);
     {
       std::lock_guard<std::mutex> lock(mu());
-      auto& g = global();
-      if (!g.empty()) {
-        OpState* s = g.back();
-        g.pop_back();
-        return s;
-      }
+      if (!global().empty()) return pop(global());
     }
-    return new OpState();
+    return std::make_unique<OpState>();
   }
 
-  static void release(OpState* s) {
+  static void release(OpStatePtr s) {
     // Drop the operand views and the plan reference now: the caller's
     // vectors (and a pinned plan's cache slot) must not be kept reachable
     // by an idle slab entry.
     s->desc = OpDesc{};
     s->pinned.reset();
-    auto& loc = local().states;
+    auto& loc = local();
     if (loc.size() < kLocalCap) {
-      loc.push_back(s);
+      loc.push_back(std::move(s));
       return;
     }
     std::lock_guard<std::mutex> lock(mu());
-    auto& g = global();
-    if (g.size() < kGlobalCap) {
-      g.push_back(s);
-      return;
-    }
-    delete s;
+    if (global().size() < kGlobalCap) global().push_back(std::move(s));
   }
 
  private:
   static constexpr std::size_t kLocalCap = 32;
   static constexpr std::size_t kGlobalCap = 1024;
-  struct Local {
-    std::vector<OpState*> states;
-    ~Local() {
-      for (OpState* s : states) delete s;
-    }
-  };
-  static Local& local() {
-    static thread_local Local l;
+  static OpStatePtr pop(std::vector<OpStatePtr>& list) {
+    OpStatePtr s = std::move(list.back());
+    list.pop_back();
+    return s;
+  }
+  static std::vector<OpStatePtr>& local() {
+    static thread_local std::vector<OpStatePtr> l;
     return l;
   }
   static std::mutex& mu() {
     static std::mutex m;
     return m;
   }
-  static std::vector<OpState*>& global() {
-    static std::vector<OpState*> g;
+  static std::vector<OpStatePtr>& global() {
+    static std::vector<OpStatePtr> g;
     return g;
   }
 };
 
 /// Returns the op state to the slab on every exit path of a worker lambda.
 struct SlabReturn {
-  OpState* st;
-  ~SlabReturn() { OpSlab::release(st); }
+  OpStatePtr& st;
+  ~SlabReturn() { OpSlab::release(std::move(st)); }
 };
 
 }  // namespace
@@ -489,7 +478,7 @@ std::future<Outcome> Runtime::submit_impl(const OpDesc& desc,
   // Everything the worker needs travels in a recycled slab state; the
   // lambda captures two pointers, so the whole task fits the pool's
   // single-allocation packaged task.
-  OpState* st = OpSlab::acquire();
+  OpStatePtr st = OpSlab::acquire();
   st->desc = desc;
   st->pinned = std::move(pinned);
   st->tel = cfg_.telemetry;
@@ -497,7 +486,7 @@ std::future<Outcome> Runtime::submit_impl(const OpDesc& desc,
   st->op_id = g_op_seq.fetch_add(1, std::memory_order_relaxed);
   st->submit_ns = now_ns();
 
-  return pool_->submit([this, st]() -> Outcome {
+  return pool_->submit([this, st = std::move(st)]() mutable -> Outcome {
     SlabReturn ret{st};
     return async_op(st->desc, st->pinned.get(), st->tel, st->trace_on,
                     st->op_id, st->submit_ns);

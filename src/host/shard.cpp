@@ -1,7 +1,6 @@
 #include "host/shard.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "fp/backend.hpp"
@@ -10,83 +9,18 @@ namespace xd::host {
 
 namespace {
 
-/// Channel carrying the hop between global chain positions p and p+1.
-/// Within a chassis the two directions have their own RocketIO channel;
-/// a hop crossing a chassis boundary uses the single inter-chassis link
-/// for both directions (they contend, exactly like the projection's
-/// shared RapidArray switch).
-mem::Channel& hop_channel(machine::System& system, unsigned p, bool forward) {
-  const unsigned nodes = system.config().chassis.nodes;
-  const unsigned c = p / nodes;
-  if ((p + 1) % nodes == 0) return system.chassis_link(c);
-  machine::Chassis& ch = system.chassis(c);
-  return forward ? ch.forward_link(p % nodes) : ch.backward_link(p % nodes);
-}
-
-using BusyMap = std::unordered_map<const mem::Channel*, u64>;
-
-/// Drive one store-and-forward leg: tick the channel, moving whole words
-/// greedily, until the panel has crossed AND the analytic duration
-/// ceil(words / rate) has elapsed — so a leg's cost never depends on the
-/// fractional credit a previous leg left behind, and the channel-driven
-/// timing equals model::shard_leg_cycles exactly while the channel's word
-/// and cycle counters record the real traffic. Legs on one channel are
-/// serialized through `busy` (shards are laid out in ascending index
-/// order, which makes the whole timeline deterministic).
-u64 drive_leg(mem::Channel& ch, std::size_t words, u64 ready, BusyMap& busy) {
-  const u64 start = std::max(ready, busy[&ch]);
-  const u64 min_ticks =
-      model::shard_leg_cycles(static_cast<double>(words), ch.rate());
-  std::size_t moved = 0;
-  u64 ticks = 0;
-  while (moved < words || ticks < min_ticks) {
-    ch.tick();
-    ++ticks;
-    while (moved < words && ch.can_transfer(1.0)) {
-      ch.transfer(1.0);
-      ++moved;
-    }
+/// The words one shard of `rows` rows moves: its A rows plus the shared
+/// operand (B for GEMM, x for GEMV) out, its rows of C (or y) back.
+model::ShardLoad transfer_load(const OpDesc& desc, std::size_t rows) {
+  model::ShardLoad load;
+  if (desc.kind == OpKind::Gemm) {
+    load.scatter_words = static_cast<double>(rows * desc.n + desc.n * desc.n);
+    load.gather_words = static_cast<double>(rows * desc.n);
+  } else {
+    load.scatter_words = static_cast<double>(rows * desc.cols + desc.cols);
+    load.gather_words = static_cast<double>(rows);
   }
-  const u64 end = start + ticks;
-  busy[&ch] = end;
-  return end;
-}
-
-/// The serialized scatter/compute/gather timeline over analytic leg costs —
-/// the closed-form twin of the channel-driven loop in run(). Used for
-/// ranking candidate l values (and for GEMM it is exactly
-/// model::shard_gemm_model_cycles, which tests pin against the sim).
-template <class ScatterWords, class GatherWords, class EngineCycles>
-u64 analytic_timeline(unsigned l, unsigned nodes, double fwd_wpc,
-                      double bwd_wpc, double xlink_wpc,
-                      ScatterWords scatter_words, GatherWords gather_words,
-                      EngineCycles engine_cycles) {
-  std::vector<u64> busy(3 * static_cast<std::size_t>(l > 1 ? l - 1 : 1), 0);
-  auto leg = [&](unsigned p, bool forward, double words, u64 ready) {
-    const bool cross = (p + 1) % nodes == 0;
-    const std::size_t key =
-        3 * static_cast<std::size_t>(p) + (cross ? 2 : (forward ? 0 : 1));
-    const double wpc = cross ? xlink_wpc : (forward ? fwd_wpc : bwd_wpc);
-    const u64 end = std::max(busy[key], ready) +
-                    model::shard_leg_cycles(words, wpc);
-    busy[key] = end;
-    return end;
-  };
-  std::vector<u64> done(l, 0);
-  for (unsigned i = 0; i < l; ++i) {
-    u64 t = 0;
-    for (unsigned p = 0; p < i; ++p)
-      t = leg(p, /*forward=*/true, scatter_words(i), t);
-    done[i] = t + engine_cycles(i);
-  }
-  u64 total = done[0];
-  for (unsigned i = 1; i < l; ++i) {
-    u64 t = done[i];
-    for (unsigned p = i; p-- > 0;)
-      t = leg(p, /*forward=*/false, gather_words(i), t);
-    total = std::max(total, t);
-  }
-  return total;
+  return load;
 }
 
 }  // namespace
@@ -147,41 +81,16 @@ ShardScheduler::EngineParams ShardScheduler::resolve_engine(
   return ep;
 }
 
-u64 ShardScheduler::modeled_total(const OpDesc& desc, unsigned l,
-                                  const EngineParams& ep) {
-  const double clock_hz = ep.clock_mhz * 1e6;
-  const double fwd =
+model::ShardChain ShardScheduler::chain_at(double clock_mhz) const {
+  const double clock_hz = clock_mhz * 1e6;
+  model::ShardChain chain;
+  chain.nodes_per_chassis = sys_.chassis.nodes;
+  chain.fwd_wpc =
       mem::Channel::words_per_cycle_for(sys_.chassis.link_bytes_per_s, clock_hz);
-  const double xlink = mem::Channel::words_per_cycle_for(
+  chain.bwd_wpc = chain.fwd_wpc;
+  chain.xlink_wpc = mem::Channel::words_per_cycle_for(
       sys_.interchassis_bytes_per_s, clock_hz);
-
-  if (desc.kind == OpKind::Gemm) {
-    model::ShardGemmModel m;
-    m.l = l;
-    m.nodes_per_chassis = sys_.chassis.nodes;
-    m.fwd_wpc = fwd;
-    m.bwd_wpc = fwd;
-    m.xlink_wpc = xlink;
-    m.k = ep.k;
-    m.engine_l = ep.engine_l;
-    m.b = ep.b;
-    m.engine_wpc = ep.engine_wpc;
-    return model::shard_gemm_model_cycles(desc.n, m);
-  }
-  const double dc = static_cast<double>(desc.cols);
-  return analytic_timeline(
-      l, sys_.chassis.nodes, fwd, fwd, xlink,
-      [&](unsigned i) {
-        return static_cast<double>(model::shard_rows(desc.rows, l, i)) * dc +
-               dc;
-      },
-      [&](unsigned i) {
-        return static_cast<double>(model::shard_rows(desc.rows, l, i));
-      },
-      [&](unsigned i) {
-        return model::gemv_model_cycles(model::shard_rows(desc.rows, l, i),
-                                        desc.cols, ep.k);
-      });
+  return chain;
 }
 
 ShardPlan ShardScheduler::plan(const OpDesc& desc, unsigned forced_l) {
@@ -218,23 +127,31 @@ ShardPlan ShardScheduler::plan(const OpDesc& desc, unsigned forced_l) {
   // shard-0 panel through the plan layer (whose tuner picks the engine for
   // that panel shape) and is scored with the full scatter/compute/gather
   // timeline. Ties go to the smaller l — fewer FPGAs, same cycles.
-  unsigned best_l = 1;
-  u64 best_cycles = 0;
-  EngineParams best_ep;
+  std::vector<model::ShardLoad> best_loads;
+  model::ShardTimeline best;
   for (unsigned l = 1; l <= max_l; ++l) {
     if (forced_l != 0 && l != forced_l) continue;
     const EngineParams ep = resolve_engine(desc, model::shard_rows(rows, l, 0));
-    const u64 cycles = modeled_total(desc, l, ep);
-    sp.candidates.push_back(ShardCandidate{l, cycles});
-    if (sp.candidates.size() == 1 || cycles < best_cycles) {
-      best_l = l;
-      best_cycles = cycles;
-      best_ep = ep;
+    std::vector<model::ShardLoad> loads(l);
+    for (unsigned i = 0; i < l; ++i) {
+      const std::size_t r = model::shard_rows(rows, l, i);
+      loads[i] = transfer_load(desc, r);
+      loads[i].engine_cycles =
+          desc.kind == OpKind::Gemm
+              ? model::mm_hier_panel_cycles(r, desc.n, ep.k, ep.engine_l,
+                                            ep.b, ep.engine_wpc)
+              : model::gemv_model_cycles(r, desc.cols, ep.k);
+    }
+    model::ShardTimeline tl = model::shard_timeline(chain_at(ep.clock_mhz), loads);
+    sp.candidates.push_back(ShardCandidate{l, tl.makespan});
+    if (sp.candidates.size() == 1 || tl.makespan < best.makespan) {
+      sp.l = l;
+      sp.clock_mhz = ep.clock_mhz;
+      best_loads = std::move(loads);
+      best = std::move(tl);
     }
   }
-  sp.l = best_l;
-  sp.model_cycles = best_cycles;
-  sp.clock_mhz = best_ep.clock_mhz;
+  sp.model_cycles = best.makespan;
 
   for (unsigned i = 0; i < sp.l; ++i) {
     ShardPiece piece;
@@ -243,12 +160,9 @@ ShardPlan ShardScheduler::plan(const OpDesc& desc, unsigned forced_l) {
     piece.node = i % sys_.chassis.nodes;
     piece.row0 = model::shard_row0(rows, sp.l, i);
     piece.rows = model::shard_rows(rows, sp.l, i);
-    const EngineParams ep = resolve_engine(desc, piece.rows);
-    piece.engine_cycles =
-        desc.kind == OpKind::Gemm
-            ? model::mm_hier_panel_cycles(piece.rows, desc.n, ep.k,
-                                          ep.engine_l, ep.b, ep.engine_wpc)
-            : model::gemv_model_cycles(piece.rows, desc.cols, ep.k);
+    piece.scatter_ready = best.spans[i].scatter_ready;
+    piece.engine_cycles = best_loads[i].engine_cycles;
+    piece.done = best.spans[i].done;
     sp.pieces.push_back(piece);
   }
   return sp;
@@ -259,12 +173,6 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   out.plan = plan(desc, forced_l);
   const unsigned l = out.plan.l;
   const std::size_t inner = desc.kind == OpKind::Gemm ? desc.n : desc.cols;
-
-  // The machine, rebuilt at the engine clock so every link's words/cycle
-  // and every engine cycle share one clock domain.
-  machine::SystemConfig mcfg = sys_;
-  mcfg.chassis.node.clock_mhz = out.plan.clock_mhz;
-  machine::System system(mcfg);
 
   // Slice the operand rows each shard owns (contiguous in the row-major
   // operand). The slices must outlive the futures; they live here.
@@ -280,21 +188,6 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
                                  Placement::Sram, GemvArch::Tree);
   }
 
-  // Scatter: shard i's operand panel (its A rows plus the shared operand —
-  // B for GEMM, x for GEMV) walks hops 0..i-1, store-and-forward, shards
-  // in ascending order.
-  BusyMap busy;
-  std::vector<u64> ready(l, 0);
-  for (unsigned i = 1; i < l; ++i) {
-    const std::size_t words =
-        out.plan.pieces[i].rows * inner +
-        (desc.kind == OpKind::Gemm ? desc.n * desc.n : desc.cols);
-    u64 t = 0;
-    for (unsigned p = 0; p < i; ++p)
-      t = drive_leg(hop_channel(system, p, /*forward=*/true), words, t, busy);
-    ready[i] = t;
-  }
-
   // Execute every shard concurrently on the runtime's pool. Engines are
   // deterministic, so concurrent execution is bit-identical to sequential;
   // futures are consumed in ascending shard order.
@@ -302,26 +195,23 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   futures.reserve(l);
   for (unsigned i = 0; i < l; ++i) futures.push_back(rt_.submit(subs[i]));
   out.shards.reserve(l);
-  for (unsigned i = 0; i < l; ++i) {
-    out.shards.push_back(futures[i].get());
-    out.plan.pieces[i].engine_cycles = out.shards[i].report.cycles;
-    out.plan.pieces[i].scatter_ready = ready[i];
-  }
+  for (unsigned i = 0; i < l; ++i) out.shards.push_back(futures[i].get());
 
-  // Gather: each result panel walks back to node 0 over the backward links
-  // (sharing the inter-chassis channels with the scatter), again in
-  // ascending shard order.
-  u64 makespan = ready[0] + out.plan.pieces[0].engine_cycles;
-  out.plan.pieces[0].done = makespan;
-  for (unsigned i = 1; i < l; ++i) {
-    const std::size_t words =
-        out.plan.pieces[i].rows * (desc.kind == OpKind::Gemm ? desc.n : 1);
-    u64 t = ready[i] + out.plan.pieces[i].engine_cycles;
-    for (unsigned p = i; p-- > 0;)
-      t = drive_leg(hop_channel(system, p, /*forward=*/false), words, t, busy);
-    out.plan.pieces[i].done = t;
-    makespan = std::max(makespan, t);
+  // The planned scatter and gather legs around the observed engine cycles.
+  std::vector<model::ShardLoad> loads(l);
+  for (unsigned i = 0; i < l; ++i) {
+    loads[i] = transfer_load(desc, out.plan.pieces[i].rows);
+    loads[i].engine_cycles = out.shards[i].report.cycles;
   }
+  const model::ShardTimeline tl =
+      model::shard_timeline(chain_at(out.plan.clock_mhz), loads);
+  for (unsigned i = 0; i < l; ++i) {
+    out.plan.pieces[i].scatter_ready = tl.spans[i].scatter_ready;
+    out.plan.pieces[i].engine_cycles = loads[i].engine_cycles;
+    out.plan.pieces[i].done = tl.spans[i].done;
+  }
+  out.link_words = tl.link_words;
+  out.interchassis_words = tl.interchassis_words;
 
   // Reduce in fixed deterministic order: ascending shard index, which is
   // ascending row blocks — a pure concatenation, so the reduced values are
@@ -337,25 +227,15 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   }
 
   out.report.design =
-      cat("shard l=", l, " over ", system.chassis_count(), " chassis [",
+      cat("shard l=", l, " over ", sys_.chassis_count, " chassis [",
           out.shards.front().report.design, "]");
-  out.report.cycles = makespan;
+  out.report.cycles = tl.makespan;
   out.report.compute_cycles = max_engine;
   // The communication overhang beyond the slowest engine: scatter the
   // engines could not hide plus the serialized gather tail.
-  out.report.staging_cycles = makespan - max_engine;
+  out.report.staging_cycles = tl.makespan - max_engine;
   out.report.flops = flops;
   out.report.clock_mhz = out.plan.clock_mhz;
-
-  for (unsigned c = 0; c < system.chassis_count(); ++c) {
-    machine::Chassis& ch = system.chassis(c);
-    for (unsigned i = 0; i + 1 < ch.node_count(); ++i) {
-      out.link_words += ch.forward_link(i).words_transferred();
-      out.link_words += ch.backward_link(i).words_transferred();
-    }
-  }
-  for (unsigned c = 0; c + 1 < system.chassis_count(); ++c)
-    out.interchassis_words += system.chassis_link(c).words_transferred();
   return out;
 }
 

@@ -1,15 +1,15 @@
 // Sharded multi-FPGA execution (Sec 6.4 made runnable; docs/sharding.md).
 //
 // One large GEMM/GEMV is split into l row-panel sub-ops, mapped onto the
-// FPGA chain of a machine::System (prefix placement: global nodes 0..l-1,
-// walking each chassis's RocketIO chain and the inter-chassis RapidArray
-// links in order), planned through the existing plan layer, executed
-// concurrently on the shared work-stealing pool, and reduced in a fixed
-// deterministic order. The scatter of operand panels to their nodes and the
-// gather of result panels back to node 0 are explicit store-and-forward
-// transfer legs charged through the machine's mem::Channels, so link word
-// counters record real traffic and the reduced cycle count includes the
-// communication the projections of model/projections.cpp only estimate.
+// FPGA chain of a machine::SystemConfig (prefix placement: global nodes
+// 0..l-1, walking each chassis's RocketIO chain and the inter-chassis
+// RapidArray links in order), planned through the existing plan layer,
+// executed concurrently on the shared work-stealing pool, and reduced in a
+// fixed deterministic order. The scatter of operand panels to their nodes
+// and the gather of result panels back to node 0 are explicit
+// store-and-forward transfer legs on model::shard_timeline, so the reduced
+// cycle count and the link word totals include the communication the
+// projections of model/projections.cpp only estimate.
 //
 // Determinism contract (pinned by tests/test_shard.cpp and the fuzz
 // harness's Sharded invariant):
@@ -30,15 +30,16 @@
 //     machine config) — identical across reruns and across concurrent /
 //     sequential shard execution. At l = 1 it equals single-device
 //     execution exactly (no transfer legs).
-//   - Model: for GEMM the analytic timeline (model::shard_gemm_model_cycles)
-//     reproduces the channel-driven simulation cycle-for-cycle under the
-//     fixed tune policy — the PR-5 discipline extended to the multi-FPGA
-//     level. GEMV engines carry pipeline-tail cycles the closed-form
-//     gemv_model_cycles omits, so their shard model is ranking-grade, not
-//     exact.
+//   - Model: plan() and run() share one timeline (model::shard_timeline);
+//     plan() feeds it the modeled panel cycles, run() the observed engine
+//     cycles. For GEMM the panel model is exact under the fixed tune
+//     policy, so run()'s cycles equal plan().model_cycles cycle-for-cycle,
+//     the engines' model == sim check lifted to the chain. GEMV engines
+//     carry pipeline-tail cycles the closed-form gemv_model_cycles omits,
+//     so their shard model is ranking-grade, not exact.
 //
-// Clock domains: the scheduler rebuilds its System with the node clock
-// overridden to the op's engine clock, so link words/cycle and engine
+// Clock domains: link rates are converted to words per cycle of the op's
+// engine clock (mem::Channel::words_per_cycle_for), so link legs and engine
 // cycles share one domain (the same convention MmHierConfig uses for its
 // own link rates).
 #pragma once
@@ -61,7 +62,7 @@ struct ShardPiece {
   std::size_t row0 = 0;  ///< first row of the panel
   std::size_t rows = 0;  ///< rows in the panel
   u64 scatter_ready = 0; ///< cycle the operand panel has fully arrived
-  u64 engine_cycles = 0; ///< planned/observed engine cycles for the panel
+  u64 engine_cycles = 0; ///< modeled (plan) / observed (run) engine cycles
   u64 done = 0;          ///< cycle the result panel is back at node 0
 };
 
@@ -79,7 +80,7 @@ struct ShardPlan {
   std::size_t rows = 0;  ///< rows being split (GEMM: n)
   std::size_t n = 0;     ///< GEMM edge / GEMV cols
   unsigned l = 1;        ///< chosen shard count
-  double clock_mhz = 0.0;            ///< engine clock == System node clock
+  double clock_mhz = 0.0;            ///< engine clock the link rates use
   std::vector<ShardPiece> pieces;    ///< l entries, ascending index
   std::vector<ShardCandidate> candidates;  ///< every l the tuner scored
   u64 model_cycles = 0;  ///< analytic total for the chosen l
@@ -95,7 +96,7 @@ struct ShardOutcome {
   double interchassis_words = 0.0; ///< words moved over inter-chassis links
 };
 
-/// Splits one GEMM/GEMV across the FPGAs of a machine::System. Supported
+/// Splits one GEMM/GEMV across the FPGAs of a machine::SystemConfig. Supported
 /// descriptors: square OpKind::Gemm and OpKind::Gemv with GemvArch::Tree
 /// (the column architecture's rows/k >= adder-depth hazard bound breaks
 /// under row splitting), both with Placement::Sram — for a sharded op the
@@ -105,12 +106,13 @@ struct ShardOutcome {
 class ShardScheduler {
  public:
   /// `sys` describes the installation topology (chassis count, nodes per
-  /// chassis, link bandwidths); its node clock is overridden per op.
+  /// chassis, link bandwidths); link rates are taken at each op's engine
+  /// clock, not the node clock.
   explicit ShardScheduler(Runtime& rt, machine::SystemConfig sys = {});
 
   /// Choose l (forced_l == 0: smallest modeled-fastest l among
-  /// 1..min(total FPGAs, rows)) and lay out the shards. Engine cycles in
-  /// the returned pieces are the analytic per-panel estimates.
+  /// 1..min(total FPGAs, rows)) and lay out the shards. The returned pieces
+  /// carry the modeled timeline that scored the chosen l.
   ShardPlan plan(const OpDesc& desc, unsigned forced_l = 0);
 
   /// Plan, scatter, execute concurrently, gather, reduce.
@@ -123,7 +125,8 @@ class ShardScheduler {
   struct EngineParams;  // resolved per-shard plan facts (clock, k, ...)
 
   EngineParams resolve_engine(const OpDesc& desc, std::size_t shard_rows);
-  u64 modeled_total(const OpDesc& desc, unsigned l, const EngineParams& ep);
+  /// The chain's link rates in words per cycle of a `clock_mhz` engine.
+  model::ShardChain chain_at(double clock_mhz) const;
 
   Runtime& rt_;
   machine::SystemConfig sys_;

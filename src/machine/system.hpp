@@ -1,9 +1,8 @@
 // Full reconfigurable-system model: multiple chassis connected by RapidArray
 // external switches (Sec 6.4.2: a typical XD1 installation has 12 chassis,
-// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench,
-// the chassis-scaling example, and the host shard scheduler
-// (host/shard.hpp), which maps l-FPGA sub-ops onto the chain and charges
-// their transfer legs through these channels.
+// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench
+// and the chassis-scaling example; the host shard scheduler
+// (host/shard.hpp) takes its topology and link rates from SystemConfig.
 //
 // Tick-ordering contract (pinned by tests/test_machine.cpp):
 // One System::tick() is one design-clock cycle for every component, advanced
@@ -20,9 +19,6 @@
 //     (tick-then-transfer). A same-cycle produce->forward across a chassis
 //     boundary is therefore allowed, never ambiguous: the inter-chassis
 //     link accrues its cycle-t credit after all chassis-side producers ran.
-//   - Transfers at coarser granularity (the shard scheduler moves a whole
-//     panel per leg) are store-and-forward: a leg completes on the hop's
-//     channel before the next hop starts.
 #pragma once
 
 #include <memory>

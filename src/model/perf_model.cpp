@@ -151,50 +151,43 @@ u64 mm_hier_panel_cycles(std::size_t rows, std::size_t n, unsigned k,
   return std::max(compute, io);
 }
 
-u64 shard_gemm_model_cycles(std::size_t n, const ShardGemmModel& m) {
-  require(m.l >= 1, "shard_gemm_model_cycles: l must be >= 1");
-  require(m.nodes_per_chassis >= 1,
-          "shard_gemm_model_cycles: nodes_per_chassis must be >= 1");
-  if (m.l == 1)
-    return mm_hier_panel_cycles(n, n, m.k, m.engine_l, m.b, m.engine_wpc);
+ShardTimeline shard_timeline(const ShardChain& chain,
+                             const std::vector<ShardLoad>& shards) {
+  require(!shards.empty(), "shard_timeline: needs at least one shard");
+  require(chain.nodes_per_chassis >= 1,
+          "shard_timeline: nodes_per_chassis must be >= 1");
+  const std::size_t l = shards.size();
 
-  // Channel occupancy along the chain, keyed per hop p (positions p -> p+1):
-  // 3p = forward intra-chassis link, 3p+1 = backward intra-chassis link,
-  // 3p+2 = the inter-chassis link, which both directions share. One map
-  // across scatter and gather — exactly the scheduler's busy bookkeeping.
-  std::vector<u64> busy(3 * static_cast<std::size_t>(m.l - 1), 0);
-  auto leg = [&](unsigned p, bool forward, double words, u64 ready) {
-    const bool cross = (p + 1) % m.nodes_per_chassis == 0;
-    const std::size_t key = 3 * static_cast<std::size_t>(p) +
-                            (cross ? 2 : (forward ? 0 : 1));
-    const double wpc = cross ? m.xlink_wpc : (forward ? m.fwd_wpc : m.bwd_wpc);
-    const u64 end =
-        std::max(busy[key], ready) + shard_leg_cycles(words, wpc);
-    busy[key] = end;
-    return end;
+  // Link occupancy keyed per hop p (positions p -> p+1): 3p = forward
+  // intra-chassis link, 3p+1 = backward, 3p+2 = the inter-chassis link both
+  // directions share. One map across scatter and gather.
+  ShardTimeline tl;
+  std::vector<u64> busy(3 * l, 0);
+  auto leg = [&](std::size_t p, bool forward, double words, u64 ready) {
+    const bool cross = (p + 1) % chain.nodes_per_chassis == 0;
+    const std::size_t key = 3 * p + (cross ? 2 : (forward ? 0 : 1));
+    const double wpc =
+        cross ? chain.xlink_wpc : (forward ? chain.fwd_wpc : chain.bwd_wpc);
+    (cross ? tl.interchassis_words : tl.link_words) += words;
+    busy[key] = std::max(busy[key], ready) + shard_leg_cycles(words, wpc);
+    return busy[key];
   };
 
-  const double dn = static_cast<double>(n);
-  std::vector<u64> done(m.l, 0);
-  // Scatter, shards in ascending order: shard i receives its A row panel
-  // plus the whole B operand, store-and-forward over hops 0..i-1.
-  for (unsigned i = 0; i < m.l; ++i) {
-    const double words =
-        static_cast<double>(shard_rows(n, m.l, i)) * dn + dn * dn;
+  tl.spans.resize(l);
+  for (std::size_t i = 0; i < l; ++i) {
     u64 t = 0;
-    for (unsigned p = 0; p < i; ++p) t = leg(p, /*forward=*/true, words, t);
-    done[i] = t + mm_hier_panel_cycles(shard_rows(n, m.l, i), n, m.k,
-                                       m.engine_l, m.b, m.engine_wpc);
+    for (std::size_t p = 0; p < i; ++p)
+      t = leg(p, /*forward=*/true, shards[i].scatter_words, t);
+    tl.spans[i].scatter_ready = t;
   }
-  // Gather, ascending order again: each C row panel walks back to node 0.
-  u64 total = done[0];
-  for (unsigned i = 1; i < m.l; ++i) {
-    const double words = static_cast<double>(shard_rows(n, m.l, i)) * dn;
-    u64 t = done[i];
-    for (unsigned p = i; p-- > 0;) t = leg(p, /*forward=*/false, words, t);
-    total = std::max(total, t);
+  for (std::size_t i = 0; i < l; ++i) {
+    u64 t = tl.spans[i].scatter_ready + shards[i].engine_cycles;
+    for (std::size_t p = i; p-- > 0;)
+      t = leg(p, /*forward=*/false, shards[i].gather_words, t);
+    tl.spans[i].done = t;
+    tl.makespan = std::max(tl.makespan, t);
   }
-  return total;
+  return tl;
 }
 
 GemmDesignPoint gemm_hier_multi(std::size_t n, unsigned k, unsigned l,

@@ -152,13 +152,13 @@ GemmDesignPoint gemm_hier_multi(std::size_t n, unsigned k, unsigned l,
                                 unsigned m, std::size_t b);
 
 // ---- Sharded multi-FPGA execution (host/shard.hpp; docs/sharding.md) -------
-// The shard scheduler splits one GEMM/GEMV into l row panels, maps them onto
-// the machine::System FPGA chain, and charges explicit transfer legs through
-// the chassis/system channels. These formulas replicate that timeline
-// closed-form — one ceil(words / wpc) per leg, the same serialized
-// store-and-forward order — so the analytic model and the channel-driven
-// cycle sim agree exactly (tests/test_shard.cpp pins the equality, the same
-// discipline the fused-chain staging formulas above established).
+// The shard scheduler splits one GEMM/GEMV into l row panels and maps them
+// onto the FPGA chain of a machine::SystemConfig. Its scatter/compute/gather
+// timeline is shard_timeline below — one ceil(words / wpc) per
+// store-and-forward leg, legs on one link serialized in ascending shard
+// order. plan() runs it on modeled engine cycles and run() on observed ones,
+// so for GEMM (whose panel model is exact) the two agree cycle for cycle
+// (tests/test_shard.cpp pins the equality).
 
 /// Rows shard i (0-based) of l owns under the deterministic row-panel
 /// split: base rows/l plus one of the first rows%l remainder rows.
@@ -174,28 +174,50 @@ inline std::size_t shard_row0(std::size_t rows, unsigned l, unsigned i) {
   return static_cast<std::size_t>(i) * base + std::min<std::size_t>(i, rem);
 }
 
-/// One store-and-forward transfer leg across one channel:
-/// ceil(words / words_per_cycle). The shard scheduler's channel drive loop
-/// produces exactly this count (greedy whole-word drain of a credit
-/// accumulator whose burst exceeds rate + 1 word of carry).
+/// One store-and-forward transfer leg across one link:
+/// ceil(words / words_per_cycle). A mem::Channel drained greedily one whole
+/// word at a time from zero credit takes exactly this many ticks at the
+/// shard links' rates (tests/test_mem.cpp).
 u64 shard_leg_cycles(double words, double words_per_cycle);
 
-/// The machine and per-shard engine parameters of the sharded-GEMM model.
-/// Link rates are in words per engine clock cycle (the scheduler builds its
-/// System at the engine clock, so every leg and every engine cycle share
-/// one clock domain).
-struct ShardGemmModel {
-  unsigned l = 1;                 ///< shards (one FPGA of the chain each)
+/// The FPGA chain a sharded op runs on. Link rates are in words per engine
+/// clock cycle, so every leg and every engine cycle share one clock domain.
+struct ShardChain {
   unsigned nodes_per_chassis = 6;
-  double fwd_wpc = 0.0;           ///< intra-chassis forward (scatter) links
-  double bwd_wpc = 0.0;           ///< intra-chassis backward (gather) links
-  double xlink_wpc = 0.0;         ///< inter-chassis links (shared direction)
-  // Per-shard engine: the planned mm-hier row-panel design.
-  unsigned k = 8;                 ///< PEs per FPGA
-  unsigned engine_l = 1;          ///< FPGAs inside one shard's engine
-  std::size_t b = 512;            ///< SRAM panel edge
-  double engine_wpc = 0.0;        ///< min(dram, link) words/cycle of the engine
+  double fwd_wpc = 0.0;    ///< intra-chassis forward (scatter) links
+  double bwd_wpc = 0.0;    ///< intra-chassis backward (gather) links
+  double xlink_wpc = 0.0;  ///< inter-chassis links (both directions share one)
 };
+
+/// What one shard moves and computes.
+struct ShardLoad {
+  double scatter_words = 0.0;  ///< operand panel sent out from node 0
+  u64 engine_cycles = 0;       ///< the panel's engine run
+  double gather_words = 0.0;   ///< result panel sent back to node 0
+};
+
+/// One shard's slice of the timeline.
+struct ShardSpan {
+  u64 scatter_ready = 0;  ///< cycle the operand panel has fully arrived
+  u64 done = 0;           ///< cycle the result panel is back at node 0
+};
+
+struct ShardTimeline {
+  std::vector<ShardSpan> spans;     ///< one per shard, ascending index
+  u64 makespan = 0;                 ///< last done
+  double link_words = 0.0;          ///< words over intra-chassis links
+  double interchassis_words = 0.0;  ///< words over inter-chassis links
+};
+
+/// The scatter/compute/gather timeline of shards placed on global chain
+/// positions 0..l-1. Shard i's operand panel walks hops 0..i-1 and its
+/// result panel walks back i-1..0, store-and-forward, shards in ascending
+/// order. Each hop has a forward and a backward intra-chassis link, except
+/// that a hop crossing a chassis boundary has one inter-chassis link both
+/// directions contend for; a leg starts when both its panel and its link
+/// are free.
+ShardTimeline shard_timeline(const ShardChain& chain,
+                             const std::vector<ShardLoad>& shards);
 
 /// Compute cycles of a rows x n panel on the hierarchical design: the
 /// rows-general form of mm_hier_model_cycles plus the k*l array skew —
@@ -213,13 +235,6 @@ double mm_hier_panel_dram_words(std::size_t rows, std::size_t n,
 /// MmHierEngine::fill_model's throttle.
 u64 mm_hier_panel_cycles(std::size_t rows, std::size_t n, unsigned k,
                          unsigned l, std::size_t b, double engine_wpc);
-
-/// Reduced cycle count of the sharded n x n GEMM: the per-shard
-/// scatter-ready times (serialized legs over shared hops, shards in
-/// ascending index order), plus each shard's engine cycles, plus the
-/// serialized gather legs back to node 0 — the exact arithmetic
-/// host::ShardScheduler performs while driving the channels.
-u64 shard_gemm_model_cycles(std::size_t n, const ShardGemmModel& m);
 
 // ---- I/O complexity (Hong & Kung lower bound, Sec 5) -----------------------
 

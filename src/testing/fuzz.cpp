@@ -470,8 +470,8 @@ std::optional<CheckFailure> check_op(const FuzzCase& fc, CaseData& data) {
 /// In every mode and at every l the sharded run itself must be
 /// reproducible: rerunning yields bit-identical values AND identical
 /// per-shard cycles/timelines. l = 1 must cost exactly the single-device
-/// run (no transfer legs), and for GEMM the channel-driven simulation must
-/// land on the analytic model cycle-for-cycle.
+/// run (no transfer legs), and for GEMM the timeline of the observed engine
+/// cycles must land on the planned model cycle-for-cycle.
 std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
   Runtime rt(fc.config());
   const Outcome base = rt.run(data.desc);

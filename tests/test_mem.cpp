@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "blas2/mxv_tree.hpp"
+#include "blas3/mm_hier.hpp"
 #include "machine/device.hpp"
+#include "machine/system.hpp"
 #include "mem/bram.hpp"
 #include "mem/channel.hpp"
 #include "mem/dma.hpp"
@@ -12,6 +16,7 @@
 #include "mem/hierarchy.hpp"
 #include "mem/memory.hpp"
 #include "mem/sram_bank.hpp"
+#include "model/perf_model.hpp"
 
 using namespace xd;
 using mem::Channel;
@@ -77,6 +82,115 @@ TEST(Channel, WordsPerCycleConversion) {
     while (c.can_transfer(1.0)) c.transfer(1.0);
   }
   EXPECT_NEAR(c.achieved_bytes_per_s(164e6), 5.9e9, 0.01e9);
+}
+
+// ---- greedy drain vs the shard leg formula --------------------------------
+// model::shard_timeline costs a store-and-forward leg of w words at
+// ceil(w / rate) cycles (model::shard_leg_cycles). These tests pin how a
+// Channel drained greedily, one whole word per credit, compares.
+
+namespace {
+
+/// Ticks `ch` until `words` whole words have crossed, moving each word as
+/// soon as its credit is there.
+u64 drain_ticks(Channel& ch, std::size_t words) {
+  std::size_t moved = 0;
+  u64 ticks = 0;
+  while (moved < words) {
+    ch.tick();
+    ++ticks;
+    while (moved < words && ch.can_transfer(1.0)) {
+      ch.transfer(1.0);
+      ++moved;
+    }
+  }
+  return ticks;
+}
+
+/// Small counts plus the panel sizes the shard tests move (rows * n + n^2
+/// scatter panels, rows * n gather panels).
+std::vector<std::size_t> leg_words() {
+  std::vector<std::size_t> w;
+  for (std::size_t i = 1; i <= 64; ++i) w.push_back(i);
+  for (std::size_t i : {432u, 576u, 768u, 1000u, 2688u, 2736u, 2880u, 3072u})
+    w.push_back(i);
+  return w;
+}
+
+/// RocketIO and RapidArray rates at the GEMM (mm-hier) and GEMV (tree)
+/// engine clocks, the links and clocks the shard tests plan on.
+std::vector<double> shard_link_rates() {
+  const machine::SystemConfig sys;
+  std::vector<double> rates;
+  for (double mhz : {blas3::MmHierConfig{}.clock_mhz,
+                     blas2::MxvTreeConfig{}.clock_mhz}) {
+    rates.push_back(
+        Channel::words_per_cycle_for(sys.chassis.link_bytes_per_s, mhz * 1e6));
+    rates.push_back(Channel::words_per_cycle_for(sys.interchassis_bytes_per_s,
+                                                 mhz * 1e6));
+  }
+  return rates;
+}
+
+/// Leaves `ch` holding the fractional credit of `ticks` greedy cycles:
+/// below one word.
+void leave_leftover_credit(Channel& ch, int ticks) {
+  for (int t = 0; t < ticks; ++t) {
+    ch.tick();
+    while (ch.can_transfer(1.0)) ch.transfer(1.0);
+  }
+}
+
+}  // namespace
+
+TEST(ChannelLeg, GreedyDrainAtShardLinkRatesTakesExactlyTheLegFormula) {
+  for (double rate : shard_link_rates()) {
+    for (std::size_t w : leg_words()) {
+      Channel ch(rate, "leg");
+      EXPECT_EQ(drain_ticks(ch, w),
+                model::shard_leg_cycles(static_cast<double>(w), rate))
+          << "rate " << rate << ", " << w << " words";
+    }
+  }
+}
+
+TEST(ChannelLeg, LeftoverCreditShortensALegByAtMostItsWorth) {
+  // Credit c < 1 word carried in from earlier traffic can only help: the
+  // leg ends between ceil((w - 1) / rate) and ceil(w / rate) ticks, so a
+  // leg floored at the formula costs exactly the formula.
+  std::vector<double> rates = shard_link_rates();
+  for (double r : {0.1, 0.3, 1.0 / 3.0, 0.7, 0.99, 1.1, 1.7, 2.5, 2.9})
+    rates.push_back(r);
+  for (double rate : rates) {
+    for (int warm = 1; warm <= 5; ++warm) {
+      for (std::size_t w : leg_words()) {
+        Channel ch(rate, "leg");
+        leave_leftover_credit(ch, warm);
+        const u64 ticks = drain_ticks(ch, w);
+        const double dw = static_cast<double>(w);
+        EXPECT_LE(ticks, model::shard_leg_cycles(dw, rate))
+            << "rate " << rate << ", warm " << warm << ", " << w << " words";
+        EXPECT_GE(ticks, model::shard_leg_cycles(dw - 1.0, rate))
+            << "rate " << rate << ", warm " << warm << ", " << w << " words";
+      }
+    }
+  }
+}
+
+TEST(ChannelLeg, AwkwardFractionalRatesDriftAtMostOneTickFromZeroCredit) {
+  // From zero credit the channel's repeated `credit += rate` can land a
+  // rounding step below a whole word where the exact sum reaches it, so at
+  // rates such as 0.1 or 1.7 a leg may take one tick more than the formula
+  // — never fewer, never two more.
+  for (double rate : {0.1, 0.3, 1.0 / 3.0, 0.7, 0.99, 1.1, 1.7, 2.5, 2.9}) {
+    for (std::size_t w : leg_words()) {
+      Channel ch(rate, "leg");
+      const u64 ticks = drain_ticks(ch, w);
+      const u64 formula = model::shard_leg_cycles(static_cast<double>(w), rate);
+      EXPECT_GE(ticks, formula) << "rate " << rate << ", " << w << " words";
+      EXPECT_LE(ticks, formula + 1) << "rate " << rate << ", " << w << " words";
+    }
+  }
 }
 
 TEST(SramBank, OnePortEachPerCycle) {

@@ -1,9 +1,10 @@
 // Shard-scheduler tests (host/shard.hpp, docs/sharding.md): the determinism
 // contract — GEMM values bit-identical to single-device execution at every
 // l, GEMV bit-identical at l = 1 and reproducible at every l, l = 1 costing
-// exactly the single-device run — plus the PR-5 discipline at the
-// multi-FPGA level: the channel-driven simulation must land on the analytic
-// GEMM model cycle-for-cycle, and the machine's link counters must account
+// exactly the single-device run — plus model == sim at the multi-FPGA
+// level: plan() runs model::shard_timeline on the modeled GEMM panel
+// cycles, run() runs it on the engines' observed cycles, and the two
+// makespans must agree cycle-for-cycle. The link word totals must account
 // for every word the store-and-forward legs moved.
 #include <gtest/gtest.h>
 
@@ -72,14 +73,40 @@ TEST(ShardModel, RowPartitionIsContiguousBalancedAndComplete) {
 }
 
 TEST(ShardModel, GemmModelAtL1IsThePanelModel) {
-  model::ShardGemmModel m;
-  m.l = 1;
-  m.k = 8;
-  m.engine_l = 1;
-  m.b = 48;
-  m.engine_wpc = 1.0;
-  EXPECT_EQ(model::shard_gemm_model_cycles(48, m),
-            model::mm_hier_panel_cycles(48, 48, 8, 1, 48, 1.0));
+  // One shard moves nothing: its makespan is its engine run.
+  model::ShardLoad load;
+  load.scatter_words = 48.0 * 48 + 48.0 * 48;
+  load.engine_cycles = model::mm_hier_panel_cycles(48, 48, 8, 1, 48, 1.0);
+  load.gather_words = 48.0 * 48;
+  const model::ShardTimeline tl =
+      model::shard_timeline(model::ShardChain{2, 1.5, 1.5, 3.0}, {load});
+  EXPECT_EQ(tl.makespan, load.engine_cycles);
+  EXPECT_EQ(tl.spans.at(0).scatter_ready, 0u);
+  EXPECT_EQ(tl.spans.at(0).done, load.engine_cycles);
+  EXPECT_EQ(tl.link_words, 0.0);
+  EXPECT_EQ(tl.interchassis_words, 0.0);
+}
+
+TEST(ShardModel, TimelineSerializesLegsOnEachLink) {
+  // Three shards on 2-node chassis: hop 0 is intra-chassis, hop 1 crosses.
+  const model::ShardChain chain{2, /*fwd=*/2.0, /*bwd=*/1.0, /*xlink=*/4.0};
+  const std::vector<model::ShardLoad> shards = {
+      {10.0, 5, 4.0}, {8.0, 3, 6.0}, {12.0, 1, 2.0}};
+  const model::ShardTimeline tl = model::shard_timeline(chain, shards);
+  ASSERT_EQ(tl.spans.size(), 3u);
+  // Shard 1's scatter holds hop 0's forward link for ceil(8/2) = 4 cycles;
+  // shard 2's then waits for it (4 + 6), and crosses hop 1 in 3 more.
+  EXPECT_EQ(tl.spans[0].scatter_ready, 0u);
+  EXPECT_EQ(tl.spans[1].scatter_ready, 4u);
+  EXPECT_EQ(tl.spans[2].scatter_ready, 13u);
+  // Gathers: shard 1 leaves at 7 and takes 6 on hop 0's backward link;
+  // shard 2 leaves at 14, crosses hop 1 in 1 and hop 0 in 2.
+  EXPECT_EQ(tl.spans[0].done, 5u);
+  EXPECT_EQ(tl.spans[1].done, 13u);
+  EXPECT_EQ(tl.spans[2].done, 17u);
+  EXPECT_EQ(tl.makespan, 17u);
+  EXPECT_EQ(tl.link_words, 8.0 + 12.0 + 6.0 + 2.0);
+  EXPECT_EQ(tl.interchassis_words, 12.0 + 2.0);
 }
 
 // ---- GEMM -----------------------------------------------------------------
@@ -143,9 +170,9 @@ TEST(ShardGemm, L1CostsExactlyTheSingleDeviceRun) {
 }
 
 TEST(ShardGemm, SimulationMatchesAnalyticModelCycleForCycle) {
-  // The multi-FPGA extension of the PR-5 model/sim cross-validation: the
-  // channel-driven scatter/compute/gather timeline must equal
-  // model::shard_gemm_model_cycles exactly, for every shard count.
+  // Modeled panel cycles (plan) against observed engine cycles (run), both
+  // through model::shard_timeline: the makespans must be equal for every
+  // shard count, so the panel model is exact and the legs are shared.
   const std::size_t n = 48;
   Rng rng(5);
   const auto a = rng.matrix(n, n);
@@ -162,7 +189,7 @@ TEST(ShardGemm, SimulationMatchesAnalyticModelCycleForCycle) {
 TEST(ShardGemm, LinkCountersAccountForEveryLegWord) {
   // Store-and-forward conservation: shard i's scatter panel (its A rows
   // plus all of B) crosses i hops, its result panel crosses i hops back, and
-  // every hop's channel records the whole panel.
+  // every hop counts the whole panel.
   const std::size_t n = 24;
   Rng rng(13);
   const auto a = rng.matrix(n, n);
@@ -294,9 +321,13 @@ TEST(ShardPlan, AutoChoiceScoresEveryFeasibleLAndPicksTheModeledBest) {
   for (const auto& c : sp.candidates) best = std::min(best, c.model_cycles);
   EXPECT_EQ(sp.model_cycles, best);
   for (const auto& c : sp.candidates) {
-    if (c.l == sp.l) EXPECT_EQ(c.model_cycles, sp.model_cycles);
+    if (c.l == sp.l) {
+      EXPECT_EQ(c.model_cycles, sp.model_cycles);
+    }
     // Ties go to the smaller l: every strictly smaller candidate is slower.
-    if (c.l < sp.l) EXPECT_GT(c.model_cycles, sp.model_cycles);
+    if (c.l < sp.l) {
+      EXPECT_GT(c.model_cycles, sp.model_cycles);
+    }
   }
 
   ASSERT_EQ(sp.pieces.size(), sp.l);
