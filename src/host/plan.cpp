@@ -10,30 +10,50 @@ namespace xd::host {
 
 namespace {
 
-/// Cycles to stage `words` across a link of `words_per_cycle` (DRAM<->SRAM
+/// Cycles to stage `words` across a link of `wpc` words/cycle (DRAM<->SRAM
 /// DMA; the FPGA design is idle during staging, per the Table 4 methodology).
 u64 staging_cycles_for(double words, double wpc) {
-  return static_cast<u64>(std::ceil(words / wpc));
+  return words > 0.0 ? static_cast<u64>(std::ceil(words / wpc)) : 0;
 }
 
-/// Fixed BRAM overheads of the tree GEMV design besides the x store: the
-/// two alpha^2 reduction buffers and the small staging FIFOs.
-u64 gemv_buffer_words(unsigned adder_stages) {
-  return 2ull * adder_stages * adder_stages + 128;
+/// Per-slot DRAM staging decomposition of one op, the only derivation of
+/// staging: a Dram dot stages both operand vectors (2*cols at the dot
+/// clock), a Dram gemv streams A and writes y back (rows*cols + rows at the
+/// gemv clock) with x assumed SRAM-resident, and every other kind stages
+/// nothing today. A single-op plan pays one ceil over the total; a graph
+/// chain drops the slots fusion forwards or shares.
+struct StagedWords {
+  double in[3] = {0.0, 0.0, 0.0};  ///< indexed by OperandSlot
+  double out = 0.0;                ///< result writeback
+  double wpc = 0.0;                ///< staging link words/cycle (op clock)
+  double total() const { return in[0] + in[1] + in[2] + out; }
+};
+
+StagedWords staged_words_for(const ContextConfig& cfg, const PlanKey& key) {
+  StagedWords w;
+  if (key.placement != Placement::Dram) return w;
+  switch (key.kind) {
+    case OpKind::Dot:
+      // The staging link is the same RapidArray DMA path the GEMV design
+      // measures; cycles are counted at the dot design's clock.
+      w.in[0] = static_cast<double>(key.cols);
+      w.in[1] = static_cast<double>(key.cols);
+      w.wpc = words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.dot_clock_mhz);
+      break;
+    case OpKind::Gemv:
+      // Table 4: 6.4 of the 8.0 ms GEMV latency is this data movement.
+      w.in[0] = static_cast<double>(key.rows) * static_cast<double>(key.cols);
+      w.out = static_cast<double>(key.rows);
+      w.wpc = words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.gemv_clock_mhz);
+      break;
+    default:
+      break;  // no DRAM staging modeled for the other kinds
+  }
+  return w;
 }
 
 void hash_combine(std::size_t& seed, std::size_t v) {
   seed ^= v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
-}
-
-blas2::MxvTreeConfig gemv_tree_config(const ContextConfig& cfg) {
-  blas2::MxvTreeConfig tc;
-  tc.k = cfg.gemv_k;
-  tc.adder_stages = cfg.adder_stages;
-  tc.multiplier_stages = cfg.multiplier_stages;
-  tc.mem_words_per_cycle = static_cast<double>(cfg.gemv_k);  // 1 word/bank
-  tc.clock_mhz = cfg.gemv_clock_mhz;
-  return tc;
 }
 
 }  // namespace
@@ -63,11 +83,14 @@ std::size_t choose_panel_edge(const ContextConfig& cfg, std::size_t n) {
                         " (pad the matrices or use the compat layer)"));
 }
 
+u64 reduction_buffer_words(unsigned adder_stages) {
+  return 2ull * adder_stages * adder_stages + 128;
+}
+
 mem::BramBudget gemv_bram_plan(const ContextConfig& cfg, std::size_t cols) {
   mem::BramBudget plan(cfg.device);
-  plan.allocate("reduction buffers (2 alpha^2)",
-                2ull * cfg.adder_stages * cfg.adder_stages);
-  plan.allocate("staging FIFOs", 128);
+  plan.allocate("reduction buffers (2 alpha^2) + staging FIFOs",
+                reduction_buffer_words(cfg.adder_stages));
   plan.allocate("x storage", cols);
   return plan;
 }
@@ -82,130 +105,37 @@ mem::BramBudget gemm_bram_plan(const ContextConfig& cfg) {
 
 std::size_t gemv_onchip_x_capacity(const ContextConfig& cfg) {
   const u64 cap = cfg.device.bram_words();
-  const u64 fixed = gemv_buffer_words(cfg.adder_stages);
+  const u64 fixed = reduction_buffer_words(cfg.adder_stages);
   return cap > fixed ? static_cast<std::size_t>(cap - fixed) : 0;
 }
 
 Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
-  if (key.tune != TunePolicy::Fixed) return build_tuned_plan(cfg, key);
-
   Plan plan;
   plan.key = key;
+  const TuneCandidate design = choose_design(cfg, key, plan.tune);
+  plan.engine = design_config(cfg, design);
+  plan.panel_edge = design.b;
+  if (plan.tune.tuned) plan.tune.chosen = engine_signature(plan.engine);
 
+  // The machine side, whichever design runs: the DRAM link and the on-chip
+  // x store belong to the machine.
+  const StagedWords staged = staged_words_for(cfg, key);
+  plan.dram_words = staged.total();
+  plan.staging_cycles = staging_cycles_for(plan.dram_words, staged.wpc);
   switch (key.kind) {
-    case OpKind::Dot:
-    case OpKind::DotBatch: {
-      blas1::DotConfig dc;
-      dc.k = cfg.dot_k;
-      dc.adder_stages = cfg.adder_stages;
-      dc.multiplier_stages = cfg.multiplier_stages;
-      dc.mem_words_per_cycle =
-          words_per_cycle(cfg.dot_mem_bytes_per_s, cfg.dot_clock_mhz);
-      dc.clock_mhz = cfg.dot_clock_mhz;
-      plan.engine = dc;
-      if (key.kind == OpKind::Dot && key.placement == Placement::Dram) {
-        // The staging link is the same RapidArray DMA path the GEMV design
-        // measures; cycles are counted at the dot design's clock.
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.dot_clock_mhz);
-        plan.dram_words = static_cast<double>(2 * key.cols);
-        plan.staging_cycles = staging_cycles_for(plan.dram_words, wpc);
-      }
-      break;
-    }
-
-    case OpKind::Gemv: {
-      if (key.arch == GemvArch::Tree) {
-        plan.engine = gemv_tree_config(cfg);
-      } else {
-        blas2::MxvColConfig cc;
-        cc.k = cfg.gemv_k;
-        cc.adder_stages = cfg.adder_stages;
-        cc.multiplier_stages = cfg.multiplier_stages;
-        cc.mem_words_per_cycle = static_cast<double>(cfg.gemv_k) + 1.0;
-        cc.clock_mhz = cfg.gemv_clock_mhz;
-        plan.engine = cc;
-      }
-      if (key.placement == Placement::Dram) {
-        // Table 4: 6.4 of the 8.0 ms GEMV latency is this data movement.
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.gemv_clock_mhz);
-        plan.dram_words = static_cast<double>(key.rows * key.cols + key.rows);
-        plan.staging_cycles = staging_cycles_for(plan.dram_words, wpc);
-      }
-      break;
-    }
-
-    case OpKind::GemvAuto: {
+    case OpKind::GemvAuto:
       plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
       require(plan.onchip_capacity > 0,
               "device has no on-chip memory left for x");
       plan.blocked_gemv = key.cols > plan.onchip_capacity;
-      plan.engine = gemv_tree_config(cfg);
       break;
-    }
-
-    case OpKind::Spmxv: {
+    case OpKind::Spmxv:
       plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
       require(key.cols <= plan.onchip_capacity,
               "SpMXV: x does not fit the device's on-chip memory");
-      blas2::SpmxvConfig sc;
-      sc.k = cfg.gemv_k;
-      sc.adder_stages = cfg.adder_stages;
-      sc.multiplier_stages = cfg.multiplier_stages;
-      // Value + index pairs: two SRAM banks feed one CRS element per cycle
-      // pair.
-      sc.mem_elements_per_cycle = static_cast<double>(cfg.gemv_k) / 2.0;
-      sc.clock_mhz = cfg.gemv_clock_mhz;
-      plan.engine = sc;
       break;
-    }
-
-    case OpKind::Gemm: {
-      blas3::MmHierConfig hc;
-      hc.l = cfg.mm_l;
-      hc.k = cfg.mm_k;
-      hc.m = cfg.mm_m;
-      hc.b = key.n % cfg.mm_b == 0 ? cfg.mm_b : choose_panel_edge(cfg, key.n);
-      hc.adder_stages = cfg.mm_adder_stages;
-      hc.multiplier_stages = cfg.multiplier_stages;
-      hc.clock_mhz = cfg.mm_clock_mhz;
-      hc.dram_words_per_cycle =
-          words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-      hc.link_words_per_cycle =
-          words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-      plan.panel_edge = hc.b;
-      plan.engine = hc;
+    default:
       break;
-    }
-
-    case OpKind::GemmArray: {
-      blas3::MmArrayConfig mc;
-      mc.k = cfg.mm_k;
-      mc.m = cfg.mm_m;
-      mc.adder_stages = cfg.mm_adder_stages;
-      mc.multiplier_stages = cfg.multiplier_stages;
-      mc.mem_words_per_cycle = 4.0;  // four SRAM banks feed the array
-      mc.clock_mhz = cfg.mm_clock_mhz;
-      plan.engine = mc;
-      break;
-    }
-
-    case OpKind::GemmMulti: {
-      blas3::MmMultiConfig mc;
-      mc.l = cfg.mm_l;
-      mc.k = cfg.mm_k;
-      mc.m = cfg.mm_m;
-      mc.b = cfg.mm_b;
-      mc.clock_mhz = cfg.mm_clock_mhz;
-      mc.dram_words_per_cycle =
-          words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-      mc.link_words_per_cycle =
-          words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-      plan.panel_edge = mc.b;
-      plan.engine = mc;
-      break;
-    }
   }
   return plan;
 }
@@ -213,38 +143,6 @@ Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
 // ---- graph plans -----------------------------------------------------------
 
 namespace {
-
-/// Per-slot DRAM staging decomposition of one node, consistent with the
-/// single-op totals build_plan derives: a Dram dot stages both operand
-/// vectors (2*cols at the dot clock), a Dram gemv streams A and writes y
-/// back (rows*cols + rows at the gemv clock) with x assumed SRAM-resident,
-/// and every other kind stages nothing today.
-struct StagedWords {
-  double in[3] = {0.0, 0.0, 0.0};  ///< indexed by OperandSlot
-  double out = 0.0;                ///< result writeback
-  double wpc = 0.0;                ///< staging link words/cycle (node clock)
-  double total() const { return in[0] + in[1] + in[2] + out; }
-};
-
-StagedWords staged_words_for(const ContextConfig& cfg, const OpDesc& d) {
-  StagedWords w;
-  if (d.placement != Placement::Dram) return w;
-  switch (d.kind) {
-    case OpKind::Dot:
-      w.in[0] = static_cast<double>(d.cols);
-      w.in[1] = static_cast<double>(d.cols);
-      w.wpc = words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.dot_clock_mhz);
-      break;
-    case OpKind::Gemv:
-      w.in[0] = static_cast<double>(d.rows) * static_cast<double>(d.cols);
-      w.out = static_cast<double>(d.rows);
-      w.wpc = words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.gemv_clock_mhz);
-      break;
-    default:
-      break;  // no DRAM staging modeled for the other kinds
-  }
-  return w;
-}
 
 /// Resident words an operand slot pins when a chain retains it for reuse.
 double slot_words(const OpDesc& d, OperandSlot s) {
@@ -282,7 +180,7 @@ GraphPlan build_graph_plan(const ContextConfig& cfg, const GraphDesc& g) {
 
   std::vector<StagedWords> words(g.nodes.size());
   for (std::size_t i = 0; i < g.nodes.size(); ++i)
-    words[i] = staged_words_for(cfg, g.nodes[i].desc);
+    words[i] = staged_words_for(cfg, gp.node_plans[i]->key);
   // in_skipped[v][slot]: the staging of that operand is not paid (edge
   // forwarded it, or an earlier chain member staged the same vector).
   std::vector<std::array<bool, 3>> in_skipped(g.nodes.size(),
@@ -399,21 +297,19 @@ GraphPlan build_graph_plan(const ContextConfig& cfg, const GraphDesc& g) {
     skip_out[i] = all_fused;
   }
 
-  // Per-node staging budgets. The unfused figure must reproduce the
-  // single-op plan exactly (one ceil over the node's total words).
+  // Per-node staging budgets: unfused is the node's single-op plan.
   gp.staging.resize(g.nodes.size());
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
     NodeStaging& st = gp.staging[i];
     const StagedWords& w = words[i];
-    st.unfused_words = w.total();
-    st.unfused_cycles =
-        st.unfused_words > 0.0 ? staging_cycles_for(st.unfused_words, w.wpc) : 0;
+    st.unfused_words = gp.node_plans[i]->dram_words;
+    st.unfused_cycles = gp.node_plans[i]->staging_cycles;
     double fused = 0.0;
     for (std::size_t s = 0; s < 3; ++s)
       if (!in_skipped[i][s]) fused += w.in[s];
     if (!skip_out[i]) fused += w.out;
     st.fused_words = fused;
-    st.fused_cycles = fused > 0.0 ? staging_cycles_for(fused, w.wpc) : 0;
+    st.fused_cycles = staging_cycles_for(fused, w.wpc);
     gp.staging_saved_cycles += st.unfused_cycles - st.fused_cycles;
     gp.staging_saved_words += st.unfused_words - st.fused_words;
   }

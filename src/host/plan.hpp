@@ -2,13 +2,15 @@
 // (op kind, shapes, placement, architecture) and the machine configuration
 // — not on the operand values — computed once and memoized.
 //
-// A Plan holds the fully derived engine configuration (clock, words/cycle,
-// pipeline depths), the DRAM staging cost for Placement::Dram (the block
-// that used to be duplicated across Context::dot and Context::gemv), the
-// chosen SRAM panel edge for GEMM, and the GEMV on-chip capacity check.
-// Building one runs all shape validation that does not need the operand
-// data, so a cached hit skips validation, configuration and floorplanning
-// entirely.
+// build_plan is one path for every TunePolicy. It chooses the design (the
+// configured candidate under TunePolicy::Fixed, the tuner's winner
+// otherwise; host/tuner.hpp), emits its engine configuration (clock,
+// words/cycle, pipeline depths) through the one function that builds
+// engine configs, and then applies the machine side: the DRAM staging cost
+// for Placement::Dram (the same per-slot decomposition graph plans use) and
+// the GEMV-family on-chip capacity check. Building one runs all shape
+// validation that does not need the operand data, so a cached hit skips
+// validation, configuration and floorplanning entirely.
 //
 // PlanCache is a bounded, mutex-guarded LRU keyed by PlanKey; it is shared
 // by the synchronous facade and the concurrent runtime, and publishes
@@ -110,8 +112,13 @@ mem::BramBudget gemm_bram_plan(const ContextConfig& cfg);
 /// Words of x the GEMV design can keep on-chip next to its buffers.
 std::size_t gemv_onchip_x_capacity(const ContextConfig& cfg);
 
-/// Build the immutable plan for one key. All validation and configuration
-/// that the shapes allow happens here, once per distinct key.
+/// Fixed BRAM words of the reduction-circuit designs besides x: the two
+/// alpha^2 reduction buffers and the small staging FIFOs.
+u64 reduction_buffer_words(unsigned adder_stages);
+
+/// Build the immutable plan for one key, under any tune policy. All
+/// validation and configuration that the shapes allow happens here, once per
+/// distinct key.
 Plan build_plan(const ContextConfig& cfg, const PlanKey& key);
 
 // ---- graph plans -----------------------------------------------------------

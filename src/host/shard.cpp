@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fp/backend.hpp"
-
 namespace xd::host {
 
 namespace {
@@ -45,19 +43,8 @@ ShardScheduler::EngineParams ShardScheduler::resolve_engine(
   // Resolve through the plan layer — the same cache, tuner policy and
   // engine derivation every other execution path uses, so the shard model
   // can never drift from what the runtime will actually run.
-  PlanKey key;
-  key.kind = desc.kind;
-  key.placement = desc.placement;
-  key.arch = desc.arch;
-  key.backend = fp::active_backend().kind;
-  key.tune = rt_.config().tune;
-  if (desc.kind == OpKind::Gemm) {
-    key.rows = shard_rows;  // row-panel form, even at l = 1
-    key.n = desc.n;
-  } else {
-    key.rows = shard_rows;
-    key.cols = desc.cols;
-  }
+  PlanKey key = PlanKey::from(desc, rt_.config().tune);
+  key.rows = shard_rows;  // GEMM: the row-panel form, even at l = 1
   const std::shared_ptr<const Plan> plan =
       rt_.plan_cache().get_or_build(rt_.config(), key);
 

@@ -37,12 +37,6 @@ u64 tree_tail_cycles(unsigned k, unsigned adder_stages, unsigned mult_stages) {
   return mult_stages + tree + reduction;
 }
 
-/// Fixed BRAM words of the reduction-circuit designs (mirrors
-/// gemv_bram_plan's non-x allocations).
-u64 reduction_buffer_words(unsigned adder_stages) {
-  return 2ull * adder_stages * adder_stages + 128;
-}
-
 void finish_candidate(TuneCandidate& c, const ContextConfig& cfg, u64 cycles) {
   c.model_cycles = cycles;
   c.model_seconds = static_cast<double>(cycles) / (c.area.clock_mhz * 1e6);
@@ -292,14 +286,15 @@ void add_gemm(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
 /// the fixed seed just keeps the whole tuner a pure function.
 constexpr u64 kProbeSeed = 2005;
 
-EngineConfig probe_config(const ContextConfig& cfg, const TuneCandidate& c,
-                          std::size_t probe_b);
-
-u64 run_probe(const ContextConfig& cfg, const TuneCandidate& c,
-              std::size_t rows, std::size_t cols, std::size_t n,
-              std::size_t probe_b) {
+/// Probe candidate `c` on the common shape; the panel designs run at the
+/// reduced panel edge `probe_b`.
+u64 run_probe(const ContextConfig& cfg, TuneCandidate c, std::size_t rows,
+              std::size_t cols, std::size_t n, std::size_t probe_b) {
   Rng rng(kProbeSeed);
-  const EngineConfig ec = probe_config(cfg, c, probe_b);
+  if (c.family == TuneFamily::MmHier || c.family == TuneFamily::MmMulti) {
+    c.b = probe_b;
+  }
+  const EngineConfig ec = design_config(cfg, c);
   switch (c.family) {
     case TuneFamily::Dot: {
       blas1::DotEngine engine(std::get<blas1::DotConfig>(ec));
@@ -405,118 +400,40 @@ void probe_top(TuneResult& tr, const ContextConfig& cfg, const PlanKey& key) {
   tr.ranked[win].chosen = true;
 }
 
-// ---- emitted engine configurations -----------------------------------------
-// These mirror the fixed path's derivations exactly (ContextConfig clocks and
-// bandwidths, candidate k/m/l/b), so a winner that matches the configured
-// design yields a bit-identical plan.
-
-blas1::DotConfig dot_config(const ContextConfig& cfg, unsigned k) {
-  blas1::DotConfig dc;
-  dc.k = k;
-  dc.adder_stages = cfg.adder_stages;
-  dc.multiplier_stages = cfg.multiplier_stages;
-  dc.mem_words_per_cycle =
-      words_per_cycle(cfg.dot_mem_bytes_per_s, cfg.dot_clock_mhz);
-  dc.clock_mhz = cfg.dot_clock_mhz;
-  return dc;
-}
-
-blas2::MxvTreeConfig tree_config(const ContextConfig& cfg, unsigned k) {
-  blas2::MxvTreeConfig tc;
-  tc.k = k;
-  tc.adder_stages = cfg.adder_stages;
-  tc.multiplier_stages = cfg.multiplier_stages;
-  tc.mem_words_per_cycle = static_cast<double>(k);  // 1 word/bank
-  tc.clock_mhz = cfg.gemv_clock_mhz;
-  return tc;
-}
-
-blas2::MxvColConfig col_config(const ContextConfig& cfg, unsigned k) {
-  blas2::MxvColConfig cc;
-  cc.k = k;
-  cc.adder_stages = cfg.adder_stages;
-  cc.multiplier_stages = cfg.multiplier_stages;
-  cc.mem_words_per_cycle = static_cast<double>(k) + 1.0;
-  cc.clock_mhz = cfg.gemv_clock_mhz;
-  return cc;
-}
-
-blas2::SpmxvConfig spmxv_config(const ContextConfig& cfg, unsigned k) {
-  blas2::SpmxvConfig sc;
-  sc.k = k;
-  sc.adder_stages = cfg.adder_stages;
-  sc.multiplier_stages = cfg.multiplier_stages;
-  sc.mem_elements_per_cycle = static_cast<double>(k) / 2.0;
-  sc.clock_mhz = cfg.gemv_clock_mhz;
-  return sc;
-}
-
-blas3::MmArrayConfig array_config(const ContextConfig& cfg, unsigned k,
-                                  unsigned m) {
-  blas3::MmArrayConfig mc;
-  mc.k = k;
-  mc.m = m;
-  mc.adder_stages = cfg.mm_adder_stages;
-  mc.multiplier_stages = cfg.multiplier_stages;
-  mc.mem_words_per_cycle = 4.0;  // four SRAM banks feed the array (fixed path)
-  mc.clock_mhz = cfg.mm_clock_mhz;
-  return mc;
-}
-
-blas3::MmHierConfig hier_config(const ContextConfig& cfg, unsigned k,
-                                unsigned m, unsigned l, std::size_t b) {
-  blas3::MmHierConfig hc;
-  hc.l = l;
-  hc.k = k;
-  hc.m = m;
-  hc.b = b;
-  hc.adder_stages = cfg.mm_adder_stages;
-  hc.multiplier_stages = cfg.multiplier_stages;
-  hc.clock_mhz = cfg.mm_clock_mhz;
-  hc.dram_words_per_cycle =
-      words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-  hc.link_words_per_cycle =
-      words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-  return hc;
-}
-
-blas3::MmMultiConfig multi_config(const ContextConfig& cfg, unsigned k,
-                                  unsigned m, unsigned l, std::size_t b) {
-  blas3::MmMultiConfig mc;
-  mc.l = l;
-  mc.k = k;
-  mc.m = m;
-  mc.b = b;
-  mc.clock_mhz = cfg.mm_clock_mhz;
-  mc.dram_words_per_cycle =
-      words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-  mc.link_words_per_cycle =
-      words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-  return mc;
-}
-
-EngineConfig winner_config(const ContextConfig& cfg, const TuneCandidate& c) {
-  switch (c.family) {
-    case TuneFamily::Dot: return dot_config(cfg, c.k);
-    case TuneFamily::GemvTree: return tree_config(cfg, c.k);
-    case TuneFamily::GemvCol: return col_config(cfg, c.k);
-    case TuneFamily::Spmxv: return spmxv_config(cfg, c.k);
-    case TuneFamily::MmArray: return array_config(cfg, c.k, c.m);
-    case TuneFamily::MmHier: return hier_config(cfg, c.k, c.m, c.l, c.b);
-    case TuneFamily::MmMulti: return multi_config(cfg, c.k, c.m, c.l, c.b);
+/// The configured design for `key`: ContextConfig's parameters for the op
+/// kind. A GEMM whose n the configured panel edge does not tile takes the
+/// largest edge that does.
+TuneCandidate configured_candidate(const ContextConfig& cfg,
+                                   const PlanKey& key) {
+  switch (key.kind) {
+    case OpKind::Dot:
+    case OpKind::DotBatch:
+      return {.family = TuneFamily::Dot, .k = cfg.dot_k};
+    case OpKind::Gemv:
+      return {.family = key.arch == GemvArch::Tree ? TuneFamily::GemvTree
+                                                   : TuneFamily::GemvCol,
+              .k = cfg.gemv_k};
+    case OpKind::GemvAuto:
+      return {.family = TuneFamily::GemvTree, .k = cfg.gemv_k};
+    case OpKind::Spmxv:
+      return {.family = TuneFamily::Spmxv, .k = cfg.gemv_k};
+    case OpKind::Gemm:
+      return {.family = TuneFamily::MmHier,
+              .k = cfg.mm_k,
+              .m = cfg.mm_m,
+              .l = cfg.mm_l,
+              .b = key.n % cfg.mm_b == 0 ? cfg.mm_b
+                                         : choose_panel_edge(cfg, key.n)};
+    case OpKind::GemmArray:
+      return {.family = TuneFamily::MmArray, .k = cfg.mm_k, .m = cfg.mm_m};
+    case OpKind::GemmMulti:
+      return {.family = TuneFamily::MmMulti,
+              .k = cfg.mm_k,
+              .m = cfg.mm_m,
+              .l = cfg.mm_l,
+              .b = cfg.mm_b};
   }
-  return blas1::DotConfig{};
-}
-
-EngineConfig probe_config(const ContextConfig& cfg, const TuneCandidate& c,
-                          std::size_t probe_b) {
-  if (c.family == TuneFamily::MmHier) {
-    return hier_config(cfg, c.k, c.m, c.l, probe_b);
-  }
-  if (c.family == TuneFamily::MmMulti) {
-    return multi_config(cfg, c.k, c.m, c.l, probe_b);
-  }
-  return winner_config(cfg, c);
+  return {};
 }
 
 }  // namespace
@@ -663,8 +580,94 @@ TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key) {
   return tr;
 }
 
-Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key) {
-  TuneResult tr = tune_op(cfg, key);
+EngineConfig design_config(const ContextConfig& cfg, const TuneCandidate& c) {
+  switch (c.family) {
+    case TuneFamily::Dot: {
+      blas1::DotConfig dc;
+      dc.k = c.k;
+      dc.adder_stages = cfg.adder_stages;
+      dc.multiplier_stages = cfg.multiplier_stages;
+      dc.mem_words_per_cycle =
+          words_per_cycle(cfg.dot_mem_bytes_per_s, cfg.dot_clock_mhz);
+      dc.clock_mhz = cfg.dot_clock_mhz;
+      return dc;
+    }
+    case TuneFamily::GemvTree: {
+      blas2::MxvTreeConfig tc;
+      tc.k = c.k;
+      tc.adder_stages = cfg.adder_stages;
+      tc.multiplier_stages = cfg.multiplier_stages;
+      tc.mem_words_per_cycle = static_cast<double>(c.k);  // 1 word/bank
+      tc.clock_mhz = cfg.gemv_clock_mhz;
+      return tc;
+    }
+    case TuneFamily::GemvCol: {
+      blas2::MxvColConfig cc;
+      cc.k = c.k;
+      cc.adder_stages = cfg.adder_stages;
+      cc.multiplier_stages = cfg.multiplier_stages;
+      cc.mem_words_per_cycle = static_cast<double>(c.k) + 1.0;  // A + x
+      cc.clock_mhz = cfg.gemv_clock_mhz;
+      return cc;
+    }
+    case TuneFamily::Spmxv: {
+      blas2::SpmxvConfig sc;
+      sc.k = c.k;
+      sc.adder_stages = cfg.adder_stages;
+      sc.multiplier_stages = cfg.multiplier_stages;
+      // Value + index pairs: two SRAM banks feed one CRS element per cycle
+      // pair.
+      sc.mem_elements_per_cycle = static_cast<double>(c.k) / 2.0;
+      sc.clock_mhz = cfg.gemv_clock_mhz;
+      return sc;
+    }
+    case TuneFamily::MmArray: {
+      blas3::MmArrayConfig mc;
+      mc.k = c.k;
+      mc.m = c.m;
+      mc.adder_stages = cfg.mm_adder_stages;
+      mc.multiplier_stages = cfg.multiplier_stages;
+      mc.mem_words_per_cycle = 4.0;  // four SRAM banks feed the array
+      mc.clock_mhz = cfg.mm_clock_mhz;
+      return mc;
+    }
+    case TuneFamily::MmHier: {
+      blas3::MmHierConfig hc;
+      hc.l = c.l;
+      hc.k = c.k;
+      hc.m = c.m;
+      hc.b = c.b;
+      hc.adder_stages = cfg.mm_adder_stages;
+      hc.multiplier_stages = cfg.multiplier_stages;
+      hc.clock_mhz = cfg.mm_clock_mhz;
+      hc.dram_words_per_cycle =
+          words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
+      hc.link_words_per_cycle =
+          words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
+      return hc;
+    }
+    case TuneFamily::MmMulti: {
+      blas3::MmMultiConfig mc;
+      mc.l = c.l;
+      mc.k = c.k;
+      mc.m = c.m;
+      mc.b = c.b;
+      mc.clock_mhz = cfg.mm_clock_mhz;
+      mc.dram_words_per_cycle =
+          words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
+      mc.link_words_per_cycle =
+          words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
+      return mc;
+    }
+  }
+  return blas1::DotConfig{};
+}
+
+TuneCandidate choose_design(const ContextConfig& cfg, const PlanKey& key,
+                            TuneSummary& summary) {
+  if (key.tune == TunePolicy::Fixed) return configured_candidate(cfg, key);
+
+  const TuneResult tr = tune_op(cfg, key);
   const TuneCandidate* win = tr.winner();
   if (!win) {
     std::string reasons;
@@ -674,54 +677,18 @@ Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key) {
     throw ConfigError(cat("tuner: no feasible design for ",
                           op_kind_name(key.kind), reasons));
   }
+  summary.tuned = true;
+  summary.candidates = tr.considered;
+  summary.pruned = tr.pruned;
+  summary.probed = tr.probed;
+  summary.probe_cycles = tr.probe_cycles;
+  return *win;
+}
 
-  Plan plan;
-  plan.key = key;
-  plan.engine = winner_config(cfg, *win);
-  plan.panel_edge = win->b;
-  plan.tune.tuned = true;
-  plan.tune.candidates = tr.considered;
-  plan.tune.pruned = tr.pruned;
-  plan.tune.probed = tr.probed;
-  plan.tune.probe_cycles = tr.probe_cycles;
-  plan.tune.chosen = engine_signature(plan.engine);
-
-  // Staging, capacity and fallback decisions replicate the fixed path: the
-  // DRAM link belongs to the machine, not the chosen design.
-  switch (key.kind) {
-    case OpKind::Dot:
-      if (key.placement == Placement::Dram) {
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.dot_clock_mhz);
-        plan.dram_words = static_cast<double>(2 * key.cols);
-        plan.staging_cycles =
-            static_cast<u64>(std::ceil(plan.dram_words / wpc));
-      }
-      break;
-    case OpKind::Gemv:
-      if (key.placement == Placement::Dram) {
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.gemv_clock_mhz);
-        plan.dram_words = static_cast<double>(key.rows * key.cols + key.rows);
-        plan.staging_cycles =
-            static_cast<u64>(std::ceil(plan.dram_words / wpc));
-      }
-      break;
-    case OpKind::GemvAuto:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(plan.onchip_capacity > 0,
-              "device has no on-chip memory left for x");
-      plan.blocked_gemv = key.cols > plan.onchip_capacity;
-      break;
-    case OpKind::Spmxv:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(key.cols <= plan.onchip_capacity,
-              "SpMXV: x does not fit the device's on-chip memory");
-      break;
-    default:
-      break;
-  }
-  return plan;
+Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key) {
+  PlanKey tuned = key;
+  if (tuned.tune == TunePolicy::Fixed) tuned.tune = TunePolicy::Model;
+  return build_plan(cfg, tuned);
 }
 
 std::string engine_signature(const EngineConfig& engine) {

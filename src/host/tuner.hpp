@@ -2,14 +2,16 @@
 // exist to motivate): given an op kind, shape, and machine configuration,
 // enumerate the legal candidate designs (engine family x k x m x l x panel
 // edge), prune them against the machine::AreaModel slice/BRAM/bank budgets,
-// rank the survivors with the src/model analytic latency formulas, and emit
-// the winner as the plan's engine configuration.
+// rank the survivors with the src/model analytic latency formulas, and pick
+// the winner as the plan's design.
 //
-// Ranking uses each candidate's post-P&R clock from the area model; the
-// emitted engine configuration keeps the ContextConfig clocks and bandwidth
-// derivations of the fixed path, so a tuner that lands on the configured
-// design produces a bit-identical plan (values AND cycles) to
-// TunePolicy::Fixed — the property the fuzz harness pins.
+// Every plan runs one design, a TuneCandidate. Under TunePolicy::Fixed it is
+// the configured candidate (ContextConfig's k/m/l/b for the op kind); under
+// Model/Probe it is tune_op's winner. design_config() emits either one with
+// the ContextConfig clocks and bandwidths, so a tuned plan that lands on the
+// configured design is bit-identical (values AND cycles) to the fixed plan
+// by construction — the property the fuzz harness pins. Ranking alone uses
+// each candidate's post-P&R clock from the area model.
 //
 // Near-ties (within cfg.tune_tie_fraction of the best modeled latency) are
 // broken by slice count, then by a cycle-accuracy preference — reproducing
@@ -53,13 +55,13 @@ struct TuneCandidate {
   unsigned l = 1;      ///< FPGAs
   std::size_t b = 0;   ///< GEMM SRAM panel edge (0 for level 1/2)
 
-  machine::DesignArea area;  ///< modeled slices + post-P&R clock
+  machine::DesignArea area{};  ///< modeled slices + post-P&R clock
   u64 bram_words = 0;        ///< modeled on-chip storage requirement
   double required_words_per_cycle = 0.0;   ///< external bandwidth need
   double available_words_per_cycle = 0.0;  ///< what the machine can supply
 
   bool feasible = false;
-  std::string why_not;  ///< empty when feasible
+  std::string why_not{};  ///< empty when feasible
 
   u64 model_cycles = 0;      ///< analytic latency (bandwidth-throttled)
   double model_seconds = 0;  ///< at the area model's clock for this design
@@ -95,9 +97,23 @@ struct TuneResult {
 /// shared state, so concurrent plan builds can tune independently.
 TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key);
 
-/// Build a plan whose engine configuration is the tuner's winner. Called by
-/// build_plan for keys with tune != TunePolicy::Fixed; throws ConfigError
-/// when no candidate survives pruning.
+/// The design a plan for `key` runs. Under TunePolicy::Fixed it is the
+/// configured candidate, built with no area or feasibility check, so fixed
+/// plans accept exactly the shapes the configuration can tile. Under
+/// Model/Probe it is tune_op's winner, and `summary` records the search.
+/// Throws ConfigError when no tuned candidate survives pruning, or when no
+/// panel edge tiles a fixed GEMM.
+TuneCandidate choose_design(const ContextConfig& cfg, const PlanKey& key,
+                            TuneSummary& summary);
+
+/// The engine configuration of one design: its k/m/l/b with the
+/// ContextConfig clocks, pipeline depths and bandwidths. The only place an
+/// EngineConfig is built, for fixed plans, tuned plans and probes alike.
+EngineConfig design_config(const ContextConfig& cfg, const TuneCandidate& c);
+
+/// build_plan under the tuner: a key asking for TunePolicy::Fixed is built
+/// under TunePolicy::Model. Throws ConfigError when no candidate survives
+/// pruning.
 Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key);
 
 /// The value-affecting parameters of an engine configuration as a short

@@ -48,8 +48,12 @@ class Trace {
       head_ = (head_ + 1) % capacity_;  // overwrote the oldest slot
     }
     e.cycle = cycle;
-    e.source.assign(source);  // reuses the slot's string capacity
-    e.what.assign(what);
+    // resize + copy reuses the slot's string capacity (and, unlike
+    // assign(string_view), trips no GCC 12 -Wrestrict false positive).
+    e.source.resize(source.size());
+    source.copy(e.source.data(), source.size());
+    e.what.resize(what.size());
+    what.copy(e.what.data(), what.size());
     ++total_;
   }
 

@@ -330,6 +330,41 @@ TEST(GraphFusion, SramPlacementHasZeroStagingEitherWay) {
   }
 }
 
+TEST(GraphFusion, UnfusedStagingEqualsSingleOpPlan) {
+  // Each node's unfused staging is what its single-op plan pays: a Dram
+  // dot, a Dram gemv, and a GEMM (a kind that stages nothing), under both
+  // the fixed and the model-tuned policy.
+  Rng rng(11);
+  const std::size_t n = 40;
+  const auto u = rng.vector(n);
+  const auto v = rng.vector(n);
+  const auto a = rng.matrix(n, n);
+  const auto b = rng.matrix(n, n);
+  GraphDesc g;
+  g.nodes.push_back({"dot", OpDesc::dot(u, v, Placement::Dram), true});
+  g.nodes.push_back({"gemv", OpDesc::gemv(a, n, n, u, Placement::Dram), true});
+  g.nodes.push_back({"gemm", OpDesc::gemm(a, b, n), true});
+
+  for (const host::TunePolicy tune :
+       {host::TunePolicy::Fixed, host::TunePolicy::Model}) {
+    ContextConfig cfg;
+    cfg.tune = tune;
+    const host::GraphPlan gp = host::build_graph_plan(cfg, g);
+    ASSERT_EQ(gp.staging.size(), g.nodes.size());
+    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+      const host::Plan single =
+          host::build_plan(cfg, host::PlanKey::from(g.nodes[i].desc, tune));
+      EXPECT_EQ(gp.staging[i].unfused_cycles, single.staging_cycles)
+          << g.nodes[i].name;
+      EXPECT_EQ(gp.staging[i].unfused_words, single.dram_words)
+          << g.nodes[i].name;
+    }
+    EXPECT_GT(gp.staging[0].unfused_cycles, 0u);
+    EXPECT_GT(gp.staging[1].unfused_cycles, 0u);
+    EXPECT_EQ(gp.staging[2].unfused_cycles, 0u);
+  }
+}
+
 // ---- plan cache ------------------------------------------------------------
 
 TEST(GraphPlanCache, GraphEntriesAccountedSeparately) {

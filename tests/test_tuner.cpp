@@ -2,12 +2,16 @@
 // machine::AreaModel budgets exactly, the ranking agrees with the Sec 5
 // analytic GEMM models on the paper's shapes, the winners on the pinned
 // Table 3/4 shapes are the designs the paper itself chose, tuned plans
-// compute bit-identical values to fixed plans, and the tune policy is part
-// of the plan-cache key (no cross-policy hits).
+// compute bit-identical values to fixed plans, the tune policy is part of
+// the plan-cache key (no cross-policy hits), and the fixed policy's plans
+// are pinned field by field in a golden table.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "common/random.hpp"
@@ -20,8 +24,10 @@
 
 using namespace xd;
 using host::ContextConfig;
+using host::GemvArch;
 using host::OpDesc;
 using host::OpKind;
+using host::Placement;
 using host::PlanKey;
 using host::Runtime;
 using host::TuneCandidate;
@@ -396,4 +402,189 @@ TEST(Tuner, PolicyNamesRoundTrip) {
   }
   TunePolicy out;
   EXPECT_FALSE(host::tune_policy_from_name("frobnicate", out));
+}
+
+// ---- golden fixed-policy plans ---------------------------------------------
+
+namespace {
+
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Every field build_plan derives, on one line: the engine signature, each
+/// field of the emitted config (clock, words/cycle, pipeline depths), then
+/// the machine side. Doubles print at 17 significant digits, so two equal
+/// lines mean bit-equal plans.
+std::string describe(const host::Plan& p) {
+  struct Fields {
+    std::string operator()(const blas1::DotConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " wpc=",
+                 exact(c.mem_words_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages);
+    }
+    std::string operator()(const blas2::MxvTreeConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " wpc=",
+                 exact(c.mem_words_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages);
+    }
+    std::string operator()(const blas2::MxvColConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " wpc=",
+                 exact(c.mem_words_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages);
+    }
+    std::string operator()(const blas2::SpmxvConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " epc=",
+                 exact(c.mem_elements_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages);
+    }
+    std::string operator()(const blas3::MmArrayConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " wpc=",
+                 exact(c.mem_words_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages, " cstore=", c.c_storage_words);
+    }
+    std::string operator()(const blas3::MmHierConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " dram=",
+                 exact(c.dram_words_per_cycle), " link=",
+                 exact(c.link_words_per_cycle), " add=", c.adder_stages,
+                 " mul=", c.multiplier_stages);
+    }
+    std::string operator()(const blas3::MmMultiConfig& c) const {
+      return cat("clk=", exact(c.clock_mhz), " dram=",
+                 exact(c.dram_words_per_cycle), " link=",
+                 exact(c.link_words_per_cycle));
+    }
+  };
+  return cat(host::engine_signature(p.engine), " | ",
+             std::visit(Fields{}, p.engine), " | staging=", p.staging_cycles,
+             " words=", exact(p.dram_words), " b=", p.panel_edge,
+             " cap=", p.onchip_capacity, " blocked=", p.blocked_gemv);
+}
+
+PlanKey fixed_key(OpKind kind, std::size_t rows, std::size_t cols,
+                  std::size_t n, Placement place = Placement::Sram,
+                  GemvArch arch = GemvArch::Tree, std::size_t batch = 0) {
+  PlanKey k = key_for(kind, rows, cols, n, TunePolicy::Fixed);
+  k.placement = place;
+  k.arch = arch;
+  k.batch = batch;
+  return k;
+}
+
+}  // namespace
+
+TEST(Tuner, FixedPlanGoldenTable) {
+  // The fixed policy's plans for the default configuration, pinned field
+  // by field: any change to how the configured design is emitted, staged
+  // or capacity-checked shows up here as a one-line diff.
+  const ContextConfig cfg;
+  const std::size_t cap = host::gemv_onchip_x_capacity(cfg);
+  struct Golden {
+    const char* name;
+    PlanKey key;
+    const char* want;
+  };
+  const Golden table[] = {
+      {"dot sram", fixed_key(OpKind::Dot, 0, 1001, 0),
+       "dot k=2 | "
+       "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"dot dram", fixed_key(OpKind::Dot, 0, 1001, 0, Placement::Dram),
+       "dot k=2 | "
+       "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
+       "staging=2095 words=2002 b=0 cap=0 blocked=0"},
+      {"dot_batch sram", fixed_key(OpKind::DotBatch, 0, 0, 0, Placement::Sram,
+                                   GemvArch::Tree, 4),
+       "dot k=2 | "
+       "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"dot_batch dram", fixed_key(OpKind::DotBatch, 0, 0, 0, Placement::Dram,
+                                   GemvArch::Tree, 4),
+       "dot k=2 | "
+       "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"gemv tree sram", fixed_key(OpKind::Gemv, 300, 700, 0),
+       "gemv-tree k=4 | "
+       "clk=164 wpc=4 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"gemv tree dram",
+       fixed_key(OpKind::Gemv, 300, 700, 0, Placement::Dram),
+       "gemv-tree k=4 | "
+       "clk=164 wpc=4 add=14 mul=11 | "
+       "staging=212242 words=210300 b=0 cap=0 blocked=0"},
+      {"gemv col sram", fixed_key(OpKind::Gemv, 300, 700, 0, Placement::Sram,
+                                  GemvArch::Column),
+       "gemv-col k=4 | "
+       "clk=164 wpc=5 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"gemv col dram", fixed_key(OpKind::Gemv, 300, 700, 0, Placement::Dram,
+                                  GemvArch::Column),
+       "gemv-col k=4 | "
+       "clk=164 wpc=5 add=14 mul=11 | "
+       "staging=212242 words=210300 b=0 cap=0 blocked=0"},
+      {"gemv_auto unblocked", fixed_key(OpKind::GemvAuto, 8, 2048, 0),
+       "gemv-tree k=4 | "
+       "clk=164 wpc=4 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=65016 blocked=0"},
+      {"gemv_auto blocked", fixed_key(OpKind::GemvAuto, 8, cap + 1, 0),
+       "gemv-tree k=4 | "
+       "clk=164 wpc=4 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=65016 blocked=1"},
+      {"spmxv sram", fixed_key(OpKind::Spmxv, 100, 500, 0),
+       "spmxv k=4 | "
+       "clk=164 epc=2 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=65016 blocked=0"},
+      {"spmxv dram", fixed_key(OpKind::Spmxv, 100, 500, 0, Placement::Dram),
+       "spmxv k=4 | "
+       "clk=164 epc=2 add=14 mul=11 | "
+       "staging=0 words=0 b=0 cap=65016 blocked=0"},
+      {"gemm n%b==0", fixed_key(OpKind::Gemm, 0, 0, 1024),
+       "mm-hier l=1 k=8 m=8 b=512 | "
+       "clk=130 dram=3.0769230769230771 link=1.9230769230769231 add=8 mul=11 | "
+       "staging=0 words=0 b=512 cap=0 blocked=0"},
+      {"gemm n%b!=0", fixed_key(OpKind::Gemm, 0, 0, 768),
+       "mm-hier l=1 k=8 m=8 b=384 | "
+       "clk=130 dram=3.0769230769230771 link=1.9230769230769231 add=8 mul=11 | "
+       "staging=0 words=0 b=384 cap=0 blocked=0"},
+      {"gemm n<b", fixed_key(OpKind::Gemm, 0, 0, 96),
+       "mm-hier l=1 k=8 m=8 b=96 | "
+       "clk=130 dram=3.0769230769230771 link=1.9230769230769231 add=8 mul=11 | "
+       "staging=0 words=0 b=96 cap=0 blocked=0"},
+      {"gemm row panel", fixed_key(OpKind::Gemm, 32, 0, 96),
+       "mm-hier l=1 k=8 m=8 b=96 | "
+       "clk=130 dram=3.0769230769230771 link=1.9230769230769231 add=8 mul=11 | "
+       "staging=0 words=0 b=96 cap=0 blocked=0"},
+      {"gemm_array", fixed_key(OpKind::GemmArray, 0, 0, 64),
+       "mm-array k=8 m=8 | "
+       "clk=130 wpc=4 add=8 mul=11 cstore=0 | "
+       "staging=0 words=0 b=0 cap=0 blocked=0"},
+      {"gemm_multi", fixed_key(OpKind::GemmMulti, 0, 0, 64),
+       "mm-multi l=1 k=8 m=8 b=512 | "
+       "clk=130 dram=3.0769230769230771 link=1.9230769230769231 | "
+       "staging=0 words=0 b=512 cap=0 blocked=0"},
+  };
+  for (const Golden& g : table) {
+    EXPECT_EQ(describe(host::build_plan(cfg, g.key)), g.want) << g.name;
+  }
+}
+
+TEST(Tuner, FixedPolicyAcceptsExactlyTheConfiguredDesign) {
+  // The fixed policy runs no area or feasibility check: it builds designs
+  // the tuner would prune and rejects only what the configuration itself
+  // cannot tile or hold.
+  const ContextConfig cfg;
+  // n = 0 tiles trivially (the tuner prunes it as an empty problem).
+  EXPECT_NO_THROW(host::build_plan(cfg, fixed_key(OpKind::Gemm, 0, 0, 0)));
+  // ceil(rows/k) = 2 < adder stages: a hazard the tuner prunes.
+  EXPECT_NO_THROW(host::build_plan(
+      cfg, fixed_key(OpKind::Gemv, 8, 8, 0, Placement::Sram, GemvArch::Column)));
+  // No multiple of m = 8 tiles n = 100.
+  EXPECT_THROW(host::build_plan(cfg, fixed_key(OpKind::Gemm, 0, 0, 100)),
+               ConfigError);
+  // x must fit on chip for SpMXV.
+  const std::size_t cap = host::gemv_onchip_x_capacity(cfg);
+  EXPECT_THROW(host::build_plan(cfg, fixed_key(OpKind::Spmxv, 4, cap + 1, 0)),
+               ConfigError);
 }
