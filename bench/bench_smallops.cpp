@@ -39,20 +39,27 @@
 // Counts every operator-new in the process; arms snapshot it around their
 // timed region to report allocations/op. Relaxed is fine: the snapshots
 // happen after all worker threads quiesced (futures consumed, pool idle).
+//
+// One pair does the work: operator new(size_t) is the only malloc() and
+// operator delete(void*) the only free(); every other form forwards to
+// them. Both stay out of line, so every allocation in the process is paired
+// at its call site as the language prescribes, operator new with operator
+// delete. Inlined, one side's malloc() or free() would meet the other's
+// operator call (-Wmismatched-new-delete).
 namespace {
 std::atomic<unsigned long long> g_allocs{0};
 }
 
-void* operator new(std::size_t sz) {
+[[gnu::noinline]] void* operator new(std::size_t sz) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(sz ? sz : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t sz) { return operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t sz) { return ::operator new(sz); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 

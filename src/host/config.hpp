@@ -2,7 +2,7 @@
 //
 // Split out of context.hpp so the op / plan / runtime tiers can consume the
 // configuration without pulling in the Context facade: op.hpp needs
-// Placement/GemvArch for OpDesc, plan.hpp derives engine configurations
+// Placement/EngineRequest for OpDesc, plan.hpp derives engine configurations
 // from ContextConfig, runtime.hpp executes against it, and context.hpp
 // re-exports everything for existing users.
 #pragma once
@@ -26,6 +26,18 @@ enum class Placement {
 enum class GemvArch {
   Tree,    ///< row-major, adder tree + reduction circuit (Sec 4.2 arch 1)
   Column,  ///< column-major, interleaved accumulation (Sec 4.2 arch 2)
+};
+
+/// Which of an op kind's designs a descriptor asks for. Every kind has a
+/// default design; GEMV and GEMM have alternatives. Under TunePolicy::Fixed
+/// the plan runs the requested design; the tuner searches the candidates the
+/// request admits (host/tuner.hpp).
+enum class EngineRequest {
+  Default,  ///< the dot / SpMXV design, tree GEMV, hierarchical GEMM (Sec 5.2)
+  Column,   ///< GEMV: column-major interleaved accumulation (Sec 4.2 arch 2)
+  Blocked,  ///< GEMV: tree design, x blocked into on-chip panels if too big
+  Array,    ///< GEMM: single-FPGA PE array, operands resident in SRAM (5.1)
+  Multi,    ///< GEMM: cycle-accurate chain across mm_l FPGAs (Sec 5.2)
 };
 
 /// How the plan layer picks the engine design for an op (see host/tuner.hpp).
@@ -104,6 +116,13 @@ struct ContextConfig {
   /// treated as ties and broken by area (then by cycle-accuracy preference) —
   /// the paper's own argument for k = 2 dot over marginally faster k = 4.
   double tune_tie_fraction = 0.02;
+
+  /// Throw ConfigError unless every design knob is usable: each k from one
+  /// lane to the device's slice count, m a multiple of mm_k whose block
+  /// stores fit BRAM, l >= 1, b >= m * l, every clock and bandwidth finite
+  /// and positive. Runtime construction and build_plan call it, so a bad
+  /// knob never reaches arithmetic (a division by zero, a runaway loop).
+  void validate() const;
 };
 
 /// Words per cycle across a link of `bytes_per_s` at `clock_mhz`.

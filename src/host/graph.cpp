@@ -8,20 +8,6 @@
 
 namespace xd::host {
 
-namespace {
-
-void require(bool ok, const std::string& what) {
-  if (!ok) throw ConfigError(what);
-}
-
-std::size_t checked_product(std::size_t x, std::size_t y, const char* what) {
-  if (x != 0 && y > static_cast<std::size_t>(-1) / x)
-    throw ConfigError(cat(what, ": shape product overflows size_t"));
-  return x * y;
-}
-
-}  // namespace
-
 const char* operand_slot_name(OperandSlot slot) {
   switch (slot) {
     case OperandSlot::A: return "a";
@@ -43,12 +29,8 @@ std::size_t op_output_len(const OpDesc& desc) {
     case OpKind::Dot: return 1;
     case OpKind::DotBatch: return desc.batch;
     case OpKind::Gemv:
-    case OpKind::GemvAuto:
     case OpKind::Spmxv: return desc.rows;
-    case OpKind::Gemm:
-    case OpKind::GemmArray:
-    case OpKind::GemmMulti:
-      return checked_product(desc.n, desc.n, "graph");
+    case OpKind::Gemm: return shape_product(desc.n, desc.n, "graph");
   }
   return 0;
 }
@@ -60,35 +42,27 @@ std::size_t op_slot_len(const OpDesc& desc, OperandSlot slot) {
     case OpKind::DotBatch:
       return 0;  // nested operand lists are not edge-feedable
     case OpKind::Gemv:
-    case OpKind::GemvAuto:
       if (slot == OperandSlot::A)
-        return checked_product(desc.rows, desc.cols, "graph");
+        return shape_product(desc.rows, desc.cols, "graph");
       return slot == OperandSlot::X ? desc.cols : 0;
     case OpKind::Spmxv:
       // The CRS matrix is structural, not a dense value vector: only x.
       return slot == OperandSlot::X ? desc.cols : 0;
     case OpKind::Gemm:
-    case OpKind::GemmArray:
-    case OpKind::GemmMulti:
       if (slot == OperandSlot::X) return 0;
-      return checked_product(desc.n, desc.n, "graph");
+      return shape_product(desc.n, desc.n, "graph");
   }
   return 0;
 }
 
-namespace {
-
-/// The operand pointer a slot maps onto (null for an absent slot).
-const std::vector<double>* slot_pointer(const OpDesc& desc, OperandSlot slot) {
-  switch (slot) {
-    case OperandSlot::A: return desc.a;
-    case OperandSlot::B: return desc.b;
-    case OperandSlot::X: return desc.x;
-  }
-  return nullptr;
+const std::vector<double>*& slot_operand(OpDesc& desc, OperandSlot slot) {
+  if (slot == OperandSlot::A) return desc.a;
+  return slot == OperandSlot::B ? desc.b : desc.x;
 }
 
-}  // namespace
+const std::vector<double>* slot_operand(const OpDesc& desc, OperandSlot slot) {
+  return slot_operand(const_cast<OpDesc&>(desc), slot);
+}
 
 void GraphDesc::validate() const {
   require(!nodes.empty(), "graph: no nodes");
@@ -106,7 +80,7 @@ void GraphDesc::validate() const {
 
     const std::size_t want = op_slot_len(nodes[e.to].desc, e.slot);
     require(want != 0,
-            cat("graph: ", op_kind_name(nodes[e.to].desc.kind),
+            cat("graph: ", op_name(nodes[e.to].desc.kind),
                 " node has no fusable operand slot '",
                 operand_slot_name(e.slot), "'"));
     const std::size_t have = op_output_len(nodes[e.from].desc);
@@ -133,8 +107,8 @@ void GraphDesc::validate() const {
     for (OperandSlot s : {OperandSlot::A, OperandSlot::B, OperandSlot::X}) {
       if (fed[i][static_cast<std::size_t>(s)]) continue;
       if (op_slot_len(d, s) == 0) continue;  // op has no such slot
-      require(slot_pointer(d, s) != nullptr,
-              cat("graph: node ", i, " (", op_kind_name(d.kind),
+      require(slot_operand(d, s) != nullptr,
+              cat("graph: node ", i, " (", op_name(d.kind),
                   "): operand '", operand_slot_name(s),
                   "' is neither provided nor edge-fed"));
     }
@@ -182,8 +156,8 @@ std::string GraphDesc::signature() const {
   os << "g1;";
   for (const auto& node : nodes) {
     const OpDesc& d = node.desc;
-    os << op_kind_name(d.kind) << ':' << placement_name(d.placement) << ':'
-       << gemv_arch_name(d.arch) << ':' << d.rows << 'x' << d.cols << ':'
+    os << op_name(d.kind) << ':' << placement_name(d.placement) << ':'
+       << engine_request_name(d.engine) << ':' << d.rows << 'x' << d.cols << ':'
        << d.n << ':' << d.batch << ':' << (node.keep ? 'k' : 't') << ':'
        << id(d.a) << ',' << id(d.b) << ',' << id(d.x) << ',' << id(d.sparse)
        << ',' << id(d.us) << ',' << id(d.vs) << ';';

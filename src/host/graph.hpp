@@ -29,6 +29,10 @@ enum class OperandSlot { A, B, X };
 const char* operand_slot_name(OperandSlot slot);
 bool operand_slot_from_name(std::string_view name, OperandSlot& out);
 
+/// The OpDesc pointer field a slot maps onto (null for an absent operand).
+const std::vector<double>*& slot_operand(OpDesc& desc, OperandSlot slot);
+const std::vector<double>* slot_operand(const OpDesc& desc, OperandSlot slot);
+
 struct GraphNode {
   std::string name;   ///< optional label (CLI record form); "" = node index
   OpDesc desc;        ///< edge-fed slots may leave their pointer null
@@ -72,9 +76,9 @@ struct GraphDesc {
   std::vector<std::size_t> topo_order() const;
 
   /// Value-independent structural signature: kinds, shapes, placements,
-  /// archs, keep flags, edges, and the operand-sharing pattern (which slots
-  /// alias the same external vector — sharing changes the plan, so it must
-  /// key the cache). Two graphs with equal signatures plan identically.
+  /// engine requests, keep flags, edges, and the operand-sharing pattern
+  /// (which slots alias the same external vector — sharing changes the
+  /// plan, so it must key the cache). Two graphs with equal signatures plan identically.
   std::string signature() const;
 };
 

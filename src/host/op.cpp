@@ -6,9 +6,27 @@ namespace xd::host {
 
 namespace {
 
-/// rows * cols (or n * n) with an overflow check: a wrapped product can
-/// equal a tiny operand's size and pass the naive equality test, after which
-/// the engine indexes far past the operand's end.
+/// The op names: each kind's own name (listed first for the kind) and the
+/// aliases of its non-default designs. A column GEMV has no alias; it is
+/// "gemv" with arch "col".
+struct OpName {
+  const char* name;
+  OpKind kind;
+  EngineRequest engine;
+};
+constexpr OpName kOpNames[] = {
+    {"dot", OpKind::Dot, EngineRequest::Default},
+    {"dot_batch", OpKind::DotBatch, EngineRequest::Default},
+    {"gemv", OpKind::Gemv, EngineRequest::Default},
+    {"gemv_auto", OpKind::Gemv, EngineRequest::Blocked},
+    {"spmxv", OpKind::Spmxv, EngineRequest::Default},
+    {"gemm", OpKind::Gemm, EngineRequest::Default},
+    {"gemm_array", OpKind::Gemm, EngineRequest::Array},
+    {"gemm_multi", OpKind::Gemm, EngineRequest::Multi},
+};
+
+}  // namespace
+
 std::size_t shape_product(std::size_t x, std::size_t y, const char* what) {
   if (y != 0 && x > std::numeric_limits<std::size_t>::max() / y) {
     require(false, cat(what, ": shape product overflows"));
@@ -16,18 +34,23 @@ std::size_t shape_product(std::size_t x, std::size_t y, const char* what) {
   return x * y;
 }
 
-}  // namespace
+const char* op_name(OpKind kind, EngineRequest engine) {
+  const char* name = "unknown";
+  for (const OpName& e : kOpNames) {
+    if (e.kind != kind) continue;
+    if (e.engine == engine) return e.name;
+    if (e.engine == EngineRequest::Default) name = e.name;
+  }
+  return name;
+}
 
-const char* op_kind_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::Dot: return "dot";
-    case OpKind::DotBatch: return "dot_batch";
-    case OpKind::Gemv: return "gemv";
-    case OpKind::GemvAuto: return "gemv_auto";
-    case OpKind::Spmxv: return "spmxv";
-    case OpKind::Gemm: return "gemm";
-    case OpKind::GemmArray: return "gemm_array";
-    case OpKind::GemmMulti: return "gemm_multi";
+const char* engine_request_name(EngineRequest engine) {
+  switch (engine) {
+    case EngineRequest::Default: return "default";
+    case EngineRequest::Column: return "col";
+    case EngineRequest::Blocked: return "blocked";
+    case EngineRequest::Array: return "array";
+    case EngineRequest::Multi: return "multi";
   }
   return "unknown";
 }
@@ -36,16 +59,11 @@ const char* placement_name(Placement p) {
   return p == Placement::Dram ? "dram" : "sram";
 }
 
-const char* gemv_arch_name(GemvArch a) {
-  return a == GemvArch::Column ? "col" : "tree";
-}
-
-bool op_kind_from_name(std::string_view name, OpKind& out) {
-  for (const OpKind k :
-       {OpKind::Dot, OpKind::DotBatch, OpKind::Gemv, OpKind::GemvAuto,
-        OpKind::Spmxv, OpKind::Gemm, OpKind::GemmArray, OpKind::GemmMulti}) {
-    if (name == op_kind_name(k)) {
-      out = k;
+bool op_from_name(std::string_view name, OpKind& kind, EngineRequest& engine) {
+  for (const OpName& e : kOpNames) {
+    if (name == e.name) {
+      kind = e.kind;
+      engine = e.engine;
       return true;
     }
   }
@@ -126,17 +144,15 @@ blas3::MmMultiOutcome Outcome::as_mm_multi() && {
   return o;
 }
 
-Outcome to_outcome(blas1::DotOutcome&& o, OpKind kind) {
+Outcome to_outcome(blas1::DotOutcome&& o) {
   Outcome out;
-  out.kind = kind;
   out.values = std::move(o.results);
   out.report = std::move(o.report);
   return out;
 }
 
-Outcome to_outcome(blas2::MxvOutcome&& o, OpKind kind) {
+Outcome to_outcome(blas2::MxvOutcome&& o) {
   Outcome out;
-  out.kind = kind;
   out.values = std::move(o.y);
   out.report = std::move(o.report);
   return out;
@@ -144,7 +160,6 @@ Outcome to_outcome(blas2::MxvOutcome&& o, OpKind kind) {
 
 Outcome to_outcome(blas3::MmOutcome&& o) {
   Outcome out;
-  out.kind = OpKind::GemmArray;
   out.values = std::move(o.c);
   out.report = std::move(o.report);
   return out;
@@ -152,7 +167,6 @@ Outcome to_outcome(blas3::MmOutcome&& o) {
 
 Outcome to_outcome(blas3::MmHierOutcome&& o) {
   Outcome out;
-  out.kind = OpKind::Gemm;
   out.values = std::move(o.c);
   out.report = std::move(o.report);
   out.required_dram_words_per_cycle = o.required_dram_words_per_cycle;
@@ -164,7 +178,6 @@ Outcome to_outcome(blas3::MmHierOutcome&& o) {
 
 Outcome to_outcome(blas3::MmMultiOutcome&& o) {
   Outcome out;
-  out.kind = OpKind::GemmMulti;
   out.values = std::move(o.c);
   out.report = std::move(o.report);
   out.per_fpga = std::move(o.per_fpga);
@@ -200,7 +213,8 @@ OpDesc OpDesc::gemv(const std::vector<double>& a, std::size_t rows,
   OpDesc d;
   d.kind = OpKind::Gemv;
   d.placement = src;
-  d.arch = arch;
+  d.engine = arch == GemvArch::Column ? EngineRequest::Column
+                                      : EngineRequest::Default;
   d.rows = rows;
   d.cols = cols;
   d.a = &a;
@@ -211,7 +225,7 @@ OpDesc OpDesc::gemv(const std::vector<double>& a, std::size_t rows,
 OpDesc OpDesc::gemv_auto(const std::vector<double>& a, std::size_t rows,
                          std::size_t cols, const std::vector<double>& x) {
   OpDesc d = gemv(a, rows, cols, x);
-  d.kind = OpKind::GemvAuto;
+  d.engine = EngineRequest::Blocked;
   return d;
 }
 
@@ -245,18 +259,26 @@ OpDesc OpDesc::gemm_panel(const std::vector<double>& a, std::size_t rows,
 OpDesc OpDesc::gemm_array(const std::vector<double>& a,
                           const std::vector<double>& b, std::size_t n) {
   OpDesc d = gemm(a, b, n);
-  d.kind = OpKind::GemmArray;
+  d.engine = EngineRequest::Array;
   return d;
 }
 
 OpDesc OpDesc::gemm_multi(const std::vector<double>& a,
                           const std::vector<double>& b, std::size_t n) {
   OpDesc d = gemm(a, b, n);
-  d.kind = OpKind::GemmMulti;
+  d.engine = EngineRequest::Multi;
   return d;
 }
 
 void OpDesc::validate() const {
+  // Column and Blocked are GEMV designs, Array and Multi GEMM designs.
+  const bool gemv_design = engine == EngineRequest::Column ||
+                           engine == EngineRequest::Blocked;
+  if (engine != EngineRequest::Default &&
+      kind != (gemv_design ? OpKind::Gemv : OpKind::Gemm)) {
+    throw ConfigError(
+        cat(op_name(kind), ": no ", engine_request_name(engine), " design"));
+  }
   switch (kind) {
     case OpKind::Dot:
       require(a && b, "dot: missing operands");
@@ -269,7 +291,6 @@ void OpDesc::validate() const {
               "dot_batch: batch size disagrees with the descriptor");
       break;
     case OpKind::Gemv:
-    case OpKind::GemvAuto:
       require(a && x, "gemv: missing operands");
       require(a->size() == shape_product(rows, cols, "gemv"),
               "gemv: A size != rows * cols");
@@ -282,9 +303,7 @@ void OpDesc::validate() const {
               "spmxv: descriptor shape disagrees with the CRS matrix");
       require(x->size() == sparse->cols, "spmxv: x size != cols");
       break;
-    case OpKind::Gemm:
-    case OpKind::GemmArray:
-    case OpKind::GemmMulti: {
+    case OpKind::Gemm: {
       require(a && b, "gemm: missing operands");
       const std::size_t elems = shape_product(n, n, "gemm");
       require(b->size() == elems, "gemm: matrix size != n * n");
@@ -293,7 +312,7 @@ void OpDesc::validate() const {
       } else {
         // Row-panel form: only the hierarchical engine runs panels; the
         // cycle-accurate array/multi engines are square-only.
-        require(kind == OpKind::Gemm,
+        require(engine == EngineRequest::Default,
                 "gemm: row panels need the hierarchical engine");
         require(a->size() == shape_product(rows, n, "gemm panel"),
                 "gemm: A size != rows * n");

@@ -1,12 +1,16 @@
 // Unified operation / outcome layer for the host runtime.
 //
-// Every operation the library implements is described by one OpDesc (op
-// kind, shapes, placement, architecture choice, pointers to the operands)
-// and produces one Outcome (result values + PerfReport + the op-specific
-// extras). The six engines keep their native outcome structs — those are
-// the per-op data — and are adapted into the unified type by the
-// to_outcome() overloads; the thin as_*() accessors convert back, so the
-// Context facade preserves today's return types exactly.
+// Every operation the library implements is described by one OpDesc and
+// produces one Outcome. An OpDesc names one of five semantic kinds (dot,
+// dot-batch, GEMV, SpMXV, GEMM), its shapes and placement, and an engine
+// request: which of the kind's designs to run (tree, column or blocked
+// GEMV; hierarchical, array or multi-FPGA GEMM). The engine is a plan
+// choice, not a kind. The op names gemv_auto, gemm_array and gemm_multi are
+// aliases of (Gemv, Blocked), (Gemm, Array) and (Gemm, Multi).
+//
+// The engines keep their native outcome structs; the to_outcome() overloads
+// adapt them into the unified type and the thin as_*() accessors convert
+// back, so the Context facade preserves its return types exactly.
 //
 // OpDesc does not own its operands: the caller keeps the vectors alive
 // until the operation's Outcome (or future) has been consumed. The
@@ -28,28 +32,33 @@
 namespace xd::host {
 
 enum class OpKind {
-  Dot,        ///< u . v (Level 1)
-  DotBatch,   ///< batched dot products, one reduction set each
-  Gemv,       ///< y = A x (Level 2, tree or column arch)
-  GemvAuto,   ///< GEMV with automatic blocked fallback
-  Spmxv,      ///< sparse y = A x (CRS, tree arch)
-  Gemm,       ///< C = A B, hierarchical SRAM-blocked design (Level 3)
-  GemmArray,  ///< C = A B, cycle-accurate single-FPGA PE array
-  GemmMulti,  ///< C = A B, cycle-accurate multi-FPGA pipeline
+  Dot,       ///< u . v (Level 1)
+  DotBatch,  ///< batched dot products, one reduction set each
+  Gemv,      ///< y = A x (Level 2)
+  Spmxv,     ///< sparse y = A x (CRS, tree design)
+  Gemm,      ///< C = A B (Level 3)
 };
 
-const char* op_kind_name(OpKind kind);
+/// The op name of (kind, request): the alias for a blocked GEMV or an
+/// array/multi GEMM, else the kind's own name ("dot", "dot_batch", "gemv",
+/// "spmxv", "gemm"; a column GEMV is "gemv").
+const char* op_name(OpKind kind, EngineRequest engine = EngineRequest::Default);
+const char* engine_request_name(EngineRequest engine);
 const char* placement_name(Placement p);
-const char* gemv_arch_name(GemvArch a);
 
-// Parse hooks for the serialized descriptor form (the fuzz corpus and any
-// future wire format). Return false on an unknown name.
-bool op_kind_from_name(std::string_view name, OpKind& out);
+/// x * y with an overflow check (throws ConfigError): a wrapped rows * cols
+/// can equal a tiny operand's size and pass a naive equality test, after
+/// which the engine indexes far past the operand's end.
+std::size_t shape_product(std::size_t x, std::size_t y, const char* what);
+
+// Parse hooks for the serialized descriptor form (the fuzz corpus, the CLI
+// tune command). Return false on an unknown name. op_from_name accepts the
+// five kind names and the three aliases.
+bool op_from_name(std::string_view name, OpKind& kind, EngineRequest& engine);
 bool placement_from_name(std::string_view name, Placement& out);
 bool gemv_arch_from_name(std::string_view name, GemvArch& out);
 
-/// Result of a single dot product. (`DotCall` in context.hpp is the
-/// deprecated alias kept for source compatibility.)
+/// Result of a single dot product.
 struct DotResult {
   double value = 0.0;
   PerfReport report;
@@ -59,16 +68,15 @@ struct DotResult {
 /// the numeric payload (the dot results, y, or row-major C); op-specific
 /// extras keep their engine-native meaning and are defaulted elsewhere.
 struct Outcome {
-  OpKind kind = OpKind::Dot;
   std::vector<double> values;
   PerfReport report;
 
-  // GemmMulti extras (see blas3::MmMultiOutcome).
+  // Multi-FPGA GEMM extras (see blas3::MmMultiOutcome).
   std::vector<blas3::FpgaStats> per_fpga;
   double dram_words = 0.0;
   double link_words = 0.0;
 
-  // Gemm (hierarchical) model extras (see blas3::MmHierOutcome).
+  // Hierarchical GEMM model extras (see blas3::MmHierOutcome).
   double required_dram_words_per_cycle = 0.0;
   double required_link_words_per_cycle = 0.0;
   double required_sram_words_per_cycle = 0.0;
@@ -85,8 +93,8 @@ struct Outcome {
 };
 
 // Adapters: the engines' native outcomes -> the unified Outcome.
-Outcome to_outcome(blas1::DotOutcome&& o, OpKind kind = OpKind::DotBatch);
-Outcome to_outcome(blas2::MxvOutcome&& o, OpKind kind = OpKind::Gemv);
+Outcome to_outcome(blas1::DotOutcome&& o);
+Outcome to_outcome(blas2::MxvOutcome&& o);
 Outcome to_outcome(blas3::MmOutcome&& o);
 Outcome to_outcome(blas3::MmHierOutcome&& o);
 Outcome to_outcome(blas3::MmMultiOutcome&& o);
@@ -96,7 +104,7 @@ Outcome to_outcome(blas3::MmMultiOutcome&& o);
 struct OpDesc {
   OpKind kind = OpKind::Dot;
   Placement placement = Placement::Sram;
-  GemvArch arch = GemvArch::Tree;
+  EngineRequest engine = EngineRequest::Default;  ///< which of kind's designs
   std::size_t rows = 0;  ///< GEMV: rows of A; Gemm: panel rows (0 = square)
   std::size_t cols = 0;  ///< dot: n; GEMV: cols of A
   std::size_t n = 0;     ///< GEMM: matrix edge
@@ -117,6 +125,8 @@ struct OpDesc {
                      std::size_t cols, const std::vector<double>& x,
                      Placement src = Placement::Sram,
                      GemvArch arch = GemvArch::Tree);
+  /// GEMV with the blocked fallback (Sec 4.2, last paragraph) when x does
+  /// not fit on chip: (Gemv, Blocked).
   static OpDesc gemv_auto(const std::vector<double>& a, std::size_t rows,
                           std::size_t cols, const std::vector<double>& x);
   static OpDesc spmxv(const blas2::CrsMatrix& a, const std::vector<double>& x);
@@ -127,13 +137,16 @@ struct OpDesc {
   /// only); rows == 0 is reserved to mean "square" on a plain gemm().
   static OpDesc gemm_panel(const std::vector<double>& a, std::size_t rows,
                            const std::vector<double>& b, std::size_t n);
+  /// (Gemm, Array) and (Gemm, Multi): the Sec 5.1 array and the Sec 5.2
+  /// multi-FPGA chain.
   static OpDesc gemm_array(const std::vector<double>& a,
                            const std::vector<double>& b, std::size_t n);
   static OpDesc gemm_multi(const std::vector<double>& a,
                            const std::vector<double>& b, std::size_t n);
 
-  /// Check the operand pointers/sizes against the declared shapes; throws
-  /// ConfigError on a mismatch, on a shape product that overflows size_t
+  /// Check the engine request against the kind and the operand
+  /// pointers/sizes against the declared shapes; throws ConfigError on a
+  /// mismatch, on a shape product that overflows size_t
   /// (a wrapped rows*cols could otherwise alias a tiny operand and send the
   /// engine out of bounds), or on a structurally invalid sparse matrix.
   /// Runs before any plan is built.

@@ -19,9 +19,9 @@ u64 staging_cycles_for(double words, double wpc) {
 /// Per-slot DRAM staging decomposition of one op, the only derivation of
 /// staging: a Dram dot stages both operand vectors (2*cols at the dot
 /// clock), a Dram gemv streams A and writes y back (rows*cols + rows at the
-/// gemv clock) with x assumed SRAM-resident, and every other kind stages
-/// nothing today. A single-op plan pays one ceil over the total; a graph
-/// chain drops the slots fusion forwards or shares.
+/// gemv clock) with x assumed SRAM-resident, whichever GEMV design runs, and
+/// every other kind stages nothing today. A single-op plan pays one ceil
+/// over the total; a graph chain drops the slots fusion forwards or shares.
 struct StagedWords {
   double in[3] = {0.0, 0.0, 0.0};  ///< indexed by OperandSlot
   double out = 0.0;                ///< result writeback
@@ -65,7 +65,7 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   hash_combine(seed, k.n);
   hash_combine(seed, k.batch);
   hash_combine(seed, static_cast<std::size_t>(k.placement));
-  hash_combine(seed, static_cast<std::size_t>(k.arch));
+  hash_combine(seed, static_cast<std::size_t>(k.engine));
   hash_combine(seed, static_cast<std::size_t>(k.backend));
   hash_combine(seed, static_cast<std::size_t>(k.tune));
   return seed;
@@ -109,7 +109,43 @@ std::size_t gemv_onchip_x_capacity(const ContextConfig& cfg) {
   return cap > fixed ? static_cast<std::size_t>(cap - fixed) : 0;
 }
 
+void ContextConfig::validate() const {
+  // The message is built only on failure: this runs on every plan build.
+  const auto check = [](bool ok, const auto&... msg) {
+    if (!ok) throw ConfigError(cat(msg...));
+  };
+  // A lane needs at least one slice: no design is wider than the device.
+  for (const auto& [name, k] :
+       {std::pair{"dot_k", dot_k}, {"gemv_k", gemv_k}, {"mm_k", mm_k}}) {
+    check(k >= 1 && k <= device.slices, name, " = ", k,
+          ": a design has 1 to ", device.slices, " lanes");
+  }
+  check(mm_m >= 1 && mm_m % mm_k == 0, "mm_m = ", mm_m,
+        " must be a positive multiple of mm_k = ", mm_k);
+  // The C and C' block stores plus the B registers (gemm_bram_plan).
+  check(2ull * mm_m * mm_m + 2ull * mm_m <= device.bram_words(), "mm_m = ",
+        mm_m, ": the block stores exceed the device's ", device.bram_words(),
+        " BRAM words");
+  check(mm_l >= 1 && mm_b >= static_cast<std::size_t>(mm_m) * mm_l,
+        "mm_b = ", mm_b, ", mm_l = ", mm_l,
+        ": need l >= 1 and b >= m * l (an m = ", mm_m,
+        " block column per FPGA)");
+  for (const auto& [name, v] :
+       {std::pair{"dot_clock_mhz", dot_clock_mhz},
+        {"gemv_clock_mhz", gemv_clock_mhz},
+        {"mm_clock_mhz", mm_clock_mhz},
+        {"dot_mem_bytes_per_s", dot_mem_bytes_per_s},
+        {"gemv_sram_bytes_per_s", gemv_sram_bytes_per_s},
+        {"gemv_dram_bytes_per_s", gemv_dram_bytes_per_s},
+        {"mm_dram_bytes_per_s", mm_dram_bytes_per_s},
+        {"mm_link_bytes_per_s", mm_link_bytes_per_s}}) {
+    check(std::isfinite(v) && v > 0.0, name, " = ", v,
+          " must be finite and positive");
+  }
+}
+
 Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
+  cfg.validate();
   Plan plan;
   plan.key = key;
   const TuneCandidate design = choose_design(cfg, key, plan.tune);
@@ -118,24 +154,20 @@ Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
   if (plan.tune.tuned) plan.tune.chosen = engine_signature(plan.engine);
 
   // The machine side, whichever design runs: the DRAM link and the on-chip
-  // x store belong to the machine.
+  // x store belong to the machine. A blocked GEMV streams x through that
+  // store in panels when it does not fit; SpMXV has no blocked form.
   const StagedWords staged = staged_words_for(cfg, key);
   plan.dram_words = staged.total();
   plan.staging_cycles = staging_cycles_for(plan.dram_words, staged.wpc);
-  switch (key.kind) {
-    case OpKind::GemvAuto:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(plan.onchip_capacity > 0,
-              "device has no on-chip memory left for x");
-      plan.blocked_gemv = key.cols > plan.onchip_capacity;
-      break;
-    case OpKind::Spmxv:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(key.cols <= plan.onchip_capacity,
-              "SpMXV: x does not fit the device's on-chip memory");
-      break;
-    default:
-      break;
+  if (key.engine == EngineRequest::Blocked) {
+    plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
+    require(plan.onchip_capacity > 0,
+            "device has no on-chip memory left for x");
+    plan.blocked_gemv = key.cols > plan.onchip_capacity;
+  } else if (key.kind == OpKind::Spmxv) {
+    plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
+    require(key.cols <= plan.onchip_capacity,
+            "SpMXV: x does not fit the device's on-chip memory");
   }
   return plan;
 }
@@ -214,14 +246,7 @@ GraphPlan build_graph_plan(const ContextConfig& cfg, const GraphDesc& g) {
       for (std::size_t ci = 0; ci < chains.size() && chain < 0; ++ci) {
         for (OperandSlot s :
              {OperandSlot::A, OperandSlot::B, OperandSlot::X}) {
-          const auto* p = [&]() -> const std::vector<double>* {
-            switch (s) {
-              case OperandSlot::A: return d.a;
-              case OperandSlot::B: return d.b;
-              case OperandSlot::X: return d.x;
-            }
-            return nullptr;
-          }();
+          const auto* p = slot_operand(d, s);
           if (!p || words[v].in[static_cast<std::size_t>(s)] <= 0.0) continue;
           if (chains[ci].retained.count(p)) {
             chain = static_cast<int>(ci);
@@ -258,14 +283,7 @@ GraphPlan build_graph_plan(const ContextConfig& cfg, const GraphDesc& g) {
     // free). Operands that do not fit are streamed, not retained: no
     // sharing for them — that is the capacity-fallback path.
     for (OperandSlot s : {OperandSlot::A, OperandSlot::B, OperandSlot::X}) {
-      const auto* p = [&]() -> const std::vector<double>* {
-        switch (s) {
-          case OperandSlot::A: return d.a;
-          case OperandSlot::B: return d.b;
-          case OperandSlot::X: return d.x;
-        }
-        return nullptr;
-      }();
+      const auto* p = slot_operand(d, s);
       if (!p || op_slot_len(d, s) == 0) continue;
       const auto it = cs.retained.find(p);
       if (it != cs.retained.end()) {

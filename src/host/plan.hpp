@@ -1,5 +1,5 @@
 // Plan layer: everything about an operation that depends only on
-// (op kind, shapes, placement, architecture) and the machine configuration
+// (op kind, shapes, placement, engine request) and the machine configuration
 // — not on the operand values — computed once and memoized.
 //
 // build_plan is one path for every TunePolicy. It chooses the design (the
@@ -8,7 +8,7 @@
 // words/cycle, pipeline depths) through the one function that builds
 // engine configs, and then applies the machine side: the DRAM staging cost
 // for Placement::Dram (the same per-slot decomposition graph plans use) and
-// the GEMV-family on-chip capacity check. Building one runs all shape
+// the on-chip x capacity check of the blocked GEMV and SpMXV. Building one runs all shape
 // validation that does not need the operand data, so a cached hit skips
 // validation, configuration and floorplanning entirely.
 //
@@ -45,10 +45,10 @@ struct PlanKey {
   std::size_t n = 0;
   std::size_t batch = 0;
   Placement placement = Placement::Sram;
-  GemvArch arch = GemvArch::Tree;
+  EngineRequest engine = EngineRequest::Default;
   fp::BackendKind backend = fp::BackendKind::Soft;
   /// The tune policy is part of the key: a tuned plan may resolve to a
-  /// different engine family than the fixed one for the same descriptor, so
+  /// different design than the fixed one for the same descriptor, so
   /// a cache shared across policies (e.g. by tests or the fuzz harness
   /// flipping cfg.tune) must never satisfy one policy's lookup with the
   /// other's plan.
@@ -58,7 +58,7 @@ struct PlanKey {
 
   static PlanKey from(const OpDesc& desc, TunePolicy tune = TunePolicy::Fixed) {
     return PlanKey{desc.kind,  desc.rows,      desc.cols, desc.n,
-                   desc.batch, desc.placement, desc.arch,
+                   desc.batch, desc.placement, desc.engine,
                    fp::active_backend().kind, tune};
   }
 };
@@ -92,7 +92,7 @@ struct Plan {
   double dram_words = 0.0;       ///< words staged across the DRAM link
   std::size_t panel_edge = 0;    ///< GEMM: chosen SRAM panel edge b
   std::size_t onchip_capacity = 0;  ///< GEMV: words of x that fit on chip
-  bool blocked_gemv = false;     ///< GemvAuto resolved to the blocked variant
+  bool blocked_gemv = false;     ///< blocked GEMV request whose x is too big
   TuneSummary tune;              ///< empty/default under TunePolicy::Fixed
 };
 
@@ -118,7 +118,7 @@ u64 reduction_buffer_words(unsigned adder_stages);
 
 /// Build the immutable plan for one key, under any tune policy. All
 /// validation and configuration that the shapes allow happens here, once per
-/// distinct key.
+/// distinct key, after ContextConfig::validate().
 Plan build_plan(const ContextConfig& cfg, const PlanKey& key);
 
 // ---- graph plans -----------------------------------------------------------

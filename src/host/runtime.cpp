@@ -36,6 +36,21 @@ std::string first_line(const char* what) {
   return nl == std::string::npos ? s : s.substr(0, nl);
 }
 
+/// Close a failed op's trace context (the first line of its error, when it
+/// has one) and land it in the session's flight recorder.
+void record_failure(telemetry::Session& tel, telemetry::TraceContext& tc,
+                    const std::exception_ptr& err) {
+  tc.complete_ns = now_ns();
+  tc.failed = true;
+  try {
+    std::rethrow_exception(err);
+  } catch (const std::exception& e) {
+    tc.error = first_line(e.what());
+  } catch (...) {
+  }
+  tel.flight().record(tc);
+}
+
 /// Everything a submitted op carries from the caller to the worker. Carved
 /// from a recycled slab so the steady-state submit path allocates only the
 /// packaged task's shared state: the submission lambda captures two
@@ -118,7 +133,9 @@ struct SlabReturn {
 Runtime::Runtime(const ContextConfig& cfg, ThreadPool* pool)
     : cfg_(cfg),
       pool_(pool ? pool : &ThreadPool::shared()),
-      cache_(cfg.plan_cache_capacity) {}
+      cache_(cfg.plan_cache_capacity) {
+  cfg_.validate();
+}
 
 Outcome Runtime::execute(const OpDesc& desc, telemetry::Session* tel,
                          telemetry::TraceContext* tc, const Plan* pinned) {
@@ -140,7 +157,7 @@ Outcome Runtime::execute(const OpDesc& desc, telemetry::Session* tel,
   // "staging" span precedes the engine's "compute" span on the timeline.
   if (plan->staging_cycles > 0 && tel) {
     tel->phase("staging", plan->staging_cycles);
-    tel->gauge(cat("mem.dram.", op_kind_name(desc.kind), ".words"))
+    tel->gauge(cat("mem.dram.", op_name(desc.kind), ".words"))
         .set(plan->dram_words);
   }
 
@@ -158,88 +175,56 @@ Outcome Runtime::execute(const OpDesc& desc, telemetry::Session* tel,
 
 Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
                             telemetry::Session* tel) {
-  Outcome out;
-  switch (desc.kind) {
-    case OpKind::Dot: {
-      blas1::DotEngine engine(
-          with_telemetry(std::get<blas1::DotConfig>(plan.engine), tel));
-      // Single-pair overload: no per-op batch-vector wrap (two vector
-      // copies per tiny op on the old path).
-      out = to_outcome(engine.run_pair(*desc.a, *desc.b), OpKind::Dot);
-      break;
+  // What runs is what the plan resolved to, not what the descriptor asked
+  // for: the tuner may cross designs (a tree GEMV request can plan onto the
+  // column design, a default GEMM onto the array or the multi-FPGA chain).
+  // The descriptor only supplies the operands.
+  struct Run {
+    const Plan& plan;
+    const OpDesc& d;
+    telemetry::Session* tel;
+
+    Outcome operator()(const blas1::DotConfig& c) const {
+      blas1::DotEngine engine(with_telemetry(c, tel));
+      // A single pair takes the pair overload: no per-op batch-vector wrap.
+      return to_outcome(d.kind == OpKind::DotBatch
+                            ? engine.run(*d.us, *d.vs)
+                            : engine.run_pair(*d.a, *d.b));
     }
-    case OpKind::DotBatch: {
-      blas1::DotEngine engine(
-          with_telemetry(std::get<blas1::DotConfig>(plan.engine), tel));
-      out = to_outcome(engine.run(*desc.us, *desc.vs));
-      break;
-    }
-    case OpKind::Gemv: {
-      // Dispatch on what the plan resolved to, not on desc.arch: the tuner
-      // may cross architectures (a tree descriptor can plan onto the
-      // column design and vice versa).
-      if (std::holds_alternative<blas2::MxvTreeConfig>(plan.engine)) {
-        blas2::MxvTreeEngine engine(
-            with_telemetry(std::get<blas2::MxvTreeConfig>(plan.engine), tel));
-        out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x));
-      } else {
-        blas2::MxvColEngine engine(
-            with_telemetry(std::get<blas2::MxvColConfig>(plan.engine), tel));
-        out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x));
+    Outcome operator()(const blas2::MxvTreeConfig& c) const {
+      if (plan.blocked_gemv) {
+        return to_outcome(blas2::run_blocked_gemv_tree(
+            with_telemetry(c, tel), plan.onchip_capacity, *d.a, d.rows, d.cols,
+            *d.x));
       }
-      break;
+      blas2::MxvTreeEngine engine(with_telemetry(c, tel));
+      return to_outcome(engine.run(*d.a, d.rows, d.cols, *d.x));
     }
-    case OpKind::GemvAuto: {
-      const auto tc =
-          with_telemetry(std::get<blas2::MxvTreeConfig>(plan.engine), tel);
-      if (!plan.blocked_gemv) {
-        blas2::MxvTreeEngine engine(tc);
-        out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x),
-                         OpKind::GemvAuto);
-      } else {
-        out = to_outcome(
-            blas2::run_blocked_gemv_tree(tc, plan.onchip_capacity, *desc.a,
-                                         desc.rows, desc.cols, *desc.x),
-            OpKind::GemvAuto);
-      }
-      break;
+    Outcome operator()(const blas2::MxvColConfig& c) const {
+      blas2::MxvColEngine engine(with_telemetry(c, tel));
+      return to_outcome(engine.run(*d.a, d.rows, d.cols, *d.x));
     }
-    case OpKind::Spmxv: {
-      blas2::SpmxvEngine engine(
-          with_telemetry(std::get<blas2::SpmxvConfig>(plan.engine), tel));
-      out = to_outcome(engine.run(*desc.sparse, *desc.x), OpKind::Spmxv);
-      break;
+    Outcome operator()(const blas2::SpmxvConfig& c) const {
+      blas2::SpmxvEngine engine(with_telemetry(c, tel));
+      return to_outcome(engine.run(*d.sparse, *d.x));
     }
-    case OpKind::Gemm:
-    case OpKind::GemmArray:
-    case OpKind::GemmMulti: {
-      // Same cross-family dispatch: a tuned Gemm plan can resolve to the
-      // cycle-accurate array or the multi-FPGA pipeline instead of the
-      // hierarchical model.
-      if (std::holds_alternative<blas3::MmArrayConfig>(plan.engine)) {
-        blas3::MmArrayEngine engine(
-            with_telemetry(std::get<blas3::MmArrayConfig>(plan.engine), tel));
-        out = to_outcome(engine.run(*desc.a, *desc.b, desc.n));
-      } else if (std::holds_alternative<blas3::MmMultiConfig>(plan.engine)) {
-        blas3::MmMultiEngine engine(
-            with_telemetry(std::get<blas3::MmMultiConfig>(plan.engine), tel));
-        out = to_outcome(engine.run(*desc.a, *desc.b, desc.n));
-      } else {
-        blas3::MmHierEngine engine(
-            with_telemetry(std::get<blas3::MmHierConfig>(plan.engine), tel));
-        // rows != 0 marks the shard scheduler's row-panel form (validate()
-        // guarantees it only reaches the hierarchical engine).
-        out = desc.rows != 0
-                  ? to_outcome(engine.run_panel(*desc.a, desc.rows, *desc.b,
-                                                desc.n))
-                  : to_outcome(engine.run(*desc.a, *desc.b, desc.n));
-      }
-      break;
+    Outcome operator()(const blas3::MmArrayConfig& c) const {
+      blas3::MmArrayEngine engine(with_telemetry(c, tel));
+      return to_outcome(engine.run(*d.a, *d.b, d.n));
     }
-  }
-  // The Mm outcome adapters hardcode their usual kind; keep the caller's.
-  out.kind = desc.kind;
-  return out;
+    Outcome operator()(const blas3::MmHierConfig& c) const {
+      blas3::MmHierEngine engine(with_telemetry(c, tel));
+      // rows != 0 marks the shard scheduler's row-panel form (validate()
+      // guarantees it only reaches the hierarchical engine).
+      return to_outcome(d.rows != 0 ? engine.run_panel(*d.a, d.rows, *d.b, d.n)
+                                    : engine.run(*d.a, *d.b, d.n));
+    }
+    Outcome operator()(const blas3::MmMultiConfig& c) const {
+      blas3::MmMultiEngine engine(with_telemetry(c, tel));
+      return to_outcome(engine.run(*d.a, *d.b, d.n));
+    }
+  };
+  return std::visit(Run{plan, desc, tel}, plan.engine);
 }
 
 GraphOutcome Runtime::execute_graph(const GraphDesc& g,
@@ -263,19 +248,14 @@ GraphOutcome Runtime::execute_graph(const GraphDesc& g,
     OpDesc d = g.nodes[idx].desc;
     for (const auto& e : g.edges) {
       if (e.to != idx) continue;
-      const std::vector<double>* src = &go.nodes[e.from].values;
-      switch (e.slot) {
-        case OperandSlot::A: d.a = src; break;
-        case OperandSlot::B: d.b = src; break;
-        case OperandSlot::X: d.x = src; break;
-      }
+      slot_operand(d, e.slot) = &go.nodes[e.from].values;
     }
     d.validate();
 
     const NodeStaging& st = plan->staging[idx];
     if (st.fused_cycles > 0 && tel) {
       tel->phase("staging", st.fused_cycles);
-      tel->gauge(cat("mem.dram.", op_kind_name(d.kind), ".words"))
+      tel->gauge(cat("mem.dram.", op_name(d.kind), ".words"))
           .set(st.fused_words);
     }
     Outcome out = run_engine(*plan->node_plans[idx], d, tel);
@@ -342,27 +322,22 @@ PlanHandle Runtime::pin_plan(const OpDesc& desc) {
   return PlanHandle(cache_.pin(cfg_, PlanKey::from(desc, cfg_.tune)));
 }
 
-Outcome Runtime::run_impl(const OpDesc& desc, const Plan* pinned) {
+template <typename Exec>
+auto Runtime::run_sync(const char* kind, Exec&& exec) {
   telemetry::Session* tel = cfg_.telemetry;
-  if (!tel) {
-    // No session: nothing to record, keep the path free of clock reads.
-    try {
-      Outcome out = execute(desc, nullptr, nullptr, pinned);
+  telemetry::TraceContext tc;
+  try {
+    if (!tel) {
+      // No session: nothing to record, keep the path free of clock reads.
+      auto out = exec(nullptr, nullptr);
       completed_.fetch_add(1, std::memory_order_relaxed);
       return out;
-    } catch (...) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      throw;
     }
-  }
-
-  telemetry::TraceContext tc;
-  tc.op_id = g_op_seq.fetch_add(1, std::memory_order_relaxed);
-  tc.kind = op_kind_name(desc.kind);
-  tc.lane = 0;
-  tc.submit_ns = tc.dequeue_ns = now_ns();  // synchronous: no queue wait
-  try {
-    Outcome out;
+    tc.op_id = g_op_seq.fetch_add(1, std::memory_order_relaxed);
+    tc.kind = kind;
+    tc.lane = 0;
+    tc.submit_ns = tc.dequeue_ns = now_ns();  // synchronous: no queue wait
+    decltype(exec(tel, &tc)) out;
     {
       // Hold the session lock for the whole op so the synchronous path
       // records directly (bit-identical to single-threaded telemetry) even
@@ -370,7 +345,7 @@ Outcome Runtime::run_impl(const OpDesc& desc, const Plan* pinned) {
       // Engines only ever parallel_for with caller participation, so no
       // pool task is awaited while the lock is held.
       auto lock = tel->lock();
-      out = execute(desc, tel, &tc, pinned);
+      out = exec(tel, &tc);
       tc.complete_ns = now_ns();
       completed_.fetch_add(1, std::memory_order_relaxed);
       observe_latency(*tel, tc);
@@ -378,87 +353,80 @@ Outcome Runtime::run_impl(const OpDesc& desc, const Plan* pinned) {
     }
     tel->flight().record(tc);
     return out;
-  } catch (const std::exception& e) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tc.complete_ns = now_ns();
-    tc.failed = true;
-    tc.error = first_line(e.what());
-    tel->flight().record(tc);
-    throw;
   } catch (...) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    tc.complete_ns = now_ns();
-    tc.failed = true;
-    tel->flight().record(tc);
+    if (tel) record_failure(*tel, tc, std::current_exception());
     throw;
   }
 }
 
-Outcome Runtime::async_op(const OpDesc& desc, const Plan* pinned,
-                          telemetry::Session* tel, bool trace_on, u64 op_id,
-                          u64 submit_ns) {
+template <typename Exec>
+auto Runtime::run_on_worker(const char* kind, telemetry::Session* tel,
+                            bool trace_on, u64 op_id, u64 submit_ns,
+                            Exec&& exec) {
   queued_.fetch_sub(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
 
   telemetry::TraceContext tc;
   tc.op_id = op_id;
-  tc.kind = op_kind_name(desc.kind);
+  tc.kind = kind;
   const int worker = ThreadPool::current_worker_id();
   tc.lane = worker < 0 ? 0 : static_cast<unsigned>(worker) + 1;
   tc.submit_ns = submit_ns;
   tc.dequeue_ns = now_ns();
 
   try {
-    Outcome out;
     if (!tel) {
-      out = execute(desc, nullptr, nullptr, pinned);
-      tc.complete_ns = now_ns();
+      auto out = exec(nullptr, nullptr);
       completed_.fetch_add(1, std::memory_order_relaxed);
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      // Record into a thread-local shard session — no sharing, no lock —
-      // then fold it into the shared session at completion. The shard is
-      // reused across jobs on this worker; its small trace ring only
-      // matters when the main session's tracing is enabled.
-      static thread_local telemetry::Session shard(/*trace_capacity=*/512,
-                                                   /*flight_capacity=*/1);
-      shard.reset_for_reuse();
-      shard.trace().set_enabled(trace_on);
-      out = execute(desc, &shard, &tc, pinned);
-      tc.complete_ns = now_ns();
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      {
-        auto lock = tel->lock();
-        tel->merge_unlocked(shard, tc.lane);
-        observe_latency(*tel, tc);
-        publish(*tel);
-      }
-      tel->flight().record(tc);
+      return out;
     }
-    return out;
-  } catch (const std::exception& e) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    // Record into a thread-local shard session — no sharing, no lock —
+    // then fold it into the shared session at completion. The shard is
+    // reused across jobs on this worker; its small trace ring only matters
+    // when the main session's tracing is enabled.
+    static thread_local telemetry::Session shard(/*trace_capacity=*/512,
+                                                 /*flight_capacity=*/1);
+    shard.reset_for_reuse();
+    shard.trace().set_enabled(trace_on);
+    auto out = exec(&shard, &tc);
+    tc.complete_ns = now_ns();
+    completed_.fetch_add(1, std::memory_order_relaxed);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    if (tel) {
-      // The shard may hold open spans / partial metrics from the aborted
-      // op; it is discarded (cleared at the next job), never merged.
-      tc.complete_ns = now_ns();
-      tc.failed = true;
-      tc.error = first_line(e.what());
-      tel->flight().record(tc);
+    {
+      auto lock = tel->lock();
+      tel->merge_unlocked(shard, tc.lane);
+      observe_latency(*tel, tc);
+      publish(*tel);
     }
-    throw;
+    tel->flight().record(tc);
+    return out;
   } catch (...) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    if (tel) {
-      tc.complete_ns = now_ns();
-      tc.failed = true;
-      tel->flight().record(tc);
-    }
+    // The shard may hold open spans / partial metrics from the aborted op;
+    // it is discarded (cleared at the next job), never merged.
+    if (tel) record_failure(*tel, tc, std::current_exception());
     throw;
   }
+}
+
+Outcome Runtime::run_impl(const OpDesc& desc, const Plan* pinned) {
+  return run_sync(op_name(desc.kind, desc.engine),
+                  [&](telemetry::Session* tel, telemetry::TraceContext* tc) {
+                    return execute(desc, tel, tc, pinned);
+                  });
+}
+
+Outcome Runtime::async_op(const OpDesc& desc, const Plan* pinned,
+                          telemetry::Session* tel, bool trace_on, u64 op_id,
+                          u64 submit_ns) {
+  return run_on_worker(
+      op_name(desc.kind, desc.engine), tel, trace_on, op_id, submit_ns,
+      [&](telemetry::Session* shard, telemetry::TraceContext* tc) {
+        return execute(desc, shard, tc, pinned);
+      });
 }
 
 std::future<Outcome> Runtime::submit(const OpDesc& desc) {
@@ -579,49 +547,10 @@ std::vector<Outcome> Runtime::run_batch(const std::vector<OpDesc>& descs) {
 }
 
 GraphOutcome Runtime::run_graph(const GraphDesc& g) {
-  telemetry::Session* tel = cfg_.telemetry;
-  if (!tel) {
-    try {
-      GraphOutcome out = execute_graph(g, nullptr);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    } catch (...) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      throw;
-    }
-  }
-
-  telemetry::TraceContext tc;
-  tc.op_id = g_op_seq.fetch_add(1, std::memory_order_relaxed);
-  tc.kind = "graph";
-  tc.lane = 0;
-  tc.submit_ns = tc.dequeue_ns = now_ns();
-  try {
-    GraphOutcome out;
-    {
-      auto lock = tel->lock();
-      out = execute_graph(g, tel, &tc);
-      tc.complete_ns = now_ns();
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      observe_latency(*tel, tc);
-      publish(*tel);
-    }
-    tel->flight().record(tc);
-    return out;
-  } catch (const std::exception& e) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tc.complete_ns = now_ns();
-    tc.failed = true;
-    tc.error = first_line(e.what());
-    tel->flight().record(tc);
-    throw;
-  } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tc.complete_ns = now_ns();
-    tc.failed = true;
-    tel->flight().record(tc);
-    throw;
-  }
+  return run_sync("graph",
+                  [&](telemetry::Session* tel, telemetry::TraceContext* tc) {
+                    return execute_graph(g, tel, tc);
+                  });
 }
 
 std::future<GraphOutcome> Runtime::submit_graph(const GraphDesc& g) {
@@ -638,62 +567,11 @@ std::future<GraphOutcome> Runtime::submit_graph(const GraphDesc& g) {
 
   return pool_->submit(
       [this, g, tel, trace_on, op_id, submit_ns]() -> GraphOutcome {
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        in_flight_.fetch_add(1, std::memory_order_relaxed);
-
-        telemetry::TraceContext tc;
-        tc.op_id = op_id;
-        tc.kind = "graph";
-        const int worker = ThreadPool::current_worker_id();
-        tc.lane = worker < 0 ? 0 : static_cast<unsigned>(worker) + 1;
-        tc.submit_ns = submit_ns;
-        tc.dequeue_ns = now_ns();
-
-        try {
-          GraphOutcome out;
-          if (!tel) {
-            out = execute_graph(g, nullptr);
-            tc.complete_ns = now_ns();
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            in_flight_.fetch_sub(1, std::memory_order_relaxed);
-          } else {
-            static thread_local telemetry::Session shard(
-                /*trace_capacity=*/512, /*flight_capacity=*/1);
-            shard.reset_for_reuse();
-            shard.trace().set_enabled(trace_on);
-            out = execute_graph(g, &shard, &tc);
-            tc.complete_ns = now_ns();
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            in_flight_.fetch_sub(1, std::memory_order_relaxed);
-            {
-              auto lock = tel->lock();
-              tel->merge_unlocked(shard, tc.lane);
-              observe_latency(*tel, tc);
-              publish(*tel);
-            }
-            tel->flight().record(tc);
-          }
-          return out;
-        } catch (const std::exception& e) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          in_flight_.fetch_sub(1, std::memory_order_relaxed);
-          if (tel) {
-            tc.complete_ns = now_ns();
-            tc.failed = true;
-            tc.error = first_line(e.what());
-            tel->flight().record(tc);
-          }
-          throw;
-        } catch (...) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          in_flight_.fetch_sub(1, std::memory_order_relaxed);
-          if (tel) {
-            tc.complete_ns = now_ns();
-            tc.failed = true;
-            tel->flight().record(tc);
-          }
-          throw;
-        }
+        return run_on_worker(
+            "graph", tel, trace_on, op_id, submit_ns,
+            [&](telemetry::Session* shard, telemetry::TraceContext* tc) {
+              return execute_graph(g, shard, tc);
+            });
       });
 }
 

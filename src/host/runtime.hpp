@@ -74,7 +74,8 @@ struct RuntimeStats {
 
 class Runtime {
  public:
-  /// `pool` defaults to the process-wide shared pool.
+  /// `pool` defaults to the process-wide shared pool. Throws ConfigError
+  /// when `cfg` fails ContextConfig::validate(), before any op can run.
   explicit Runtime(const ContextConfig& cfg, ThreadPool* pool = nullptr);
 
   /// Execute on the calling thread, with telemetry recorded directly into
@@ -136,6 +137,15 @@ class Runtime {
   Outcome execute(const OpDesc& desc, telemetry::Session* tel,
                   telemetry::TraceContext* tc = nullptr,
                   const Plan* pinned = nullptr);
+  /// The lifecycle of one op or graph, `exec(tel, tc)`, on the calling
+  /// thread: counters, trace context, session lock, histograms, gauges and
+  /// flight record.
+  template <typename Exec>
+  auto run_sync(const char* kind, Exec&& exec);
+  /// The same on a pool worker, recording into a thread-local shard.
+  template <typename Exec>
+  auto run_on_worker(const char* kind, telemetry::Session* tel, bool trace_on,
+                     u64 op_id, u64 submit_ns, Exec&& exec);
   Outcome run_impl(const OpDesc& desc, const Plan* pinned);
   std::future<Outcome> submit_impl(const OpDesc& desc,
                                    std::shared_ptr<const Plan> pinned);

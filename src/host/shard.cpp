@@ -87,14 +87,15 @@ ShardPlan ShardScheduler::plan(const OpDesc& desc, unsigned forced_l) {
   require(desc.placement == Placement::Sram,
           "shard: sharded ops take Placement::Sram — the scatter legs are "
           "the staging");
-  if (desc.kind == OpKind::Gemm) {
-    require(desc.rows == 0, "shard: pass the square descriptor; the "
-                            "scheduler derives the row panels");
-  } else {
-    require(desc.arch == GemvArch::Tree,
-            "shard: sharded GEMV needs the tree architecture (the column "
-            "design's rows/k hazard bound breaks under row splitting)");
-  }
+  // Only the default designs split into row panels: the hierarchical GEMM
+  // (the array and multi-FPGA engines are square-only) and the tree GEMV
+  // (the column design's rows/k hazard bound breaks under row splitting).
+  require(desc.engine == EngineRequest::Default,
+          "shard: sharded ops need the default design (tree GEMV, "
+          "hierarchical GEMM)");
+  require(desc.kind != OpKind::Gemm || desc.rows == 0,
+          "shard: pass the square descriptor; the scheduler derives the row "
+          "panels");
 
   const std::size_t rows = desc.kind == OpKind::Gemm ? desc.n : desc.rows;
   const unsigned total = sys_.chassis_count * sys_.chassis.nodes;
@@ -172,7 +173,7 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
     subs[i] = desc.kind == OpKind::Gemm
                   ? OpDesc::gemm_panel(panels[i], p.rows, *desc.b, desc.n)
                   : OpDesc::gemv(panels[i], p.rows, desc.cols, *desc.x,
-                                 Placement::Sram, GemvArch::Tree);
+                                 Placement::Sram);
   }
 
   // Execute every shard concurrently on the runtime's pool. Engines are

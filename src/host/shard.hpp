@@ -97,12 +97,12 @@ struct ShardOutcome {
 };
 
 /// Splits one GEMM/GEMV across the FPGAs of a machine::SystemConfig. Supported
-/// descriptors: square OpKind::Gemm and OpKind::Gemv with GemvArch::Tree
-/// (the column architecture's rows/k >= adder-depth hazard bound breaks
-/// under row splitting), both with Placement::Sram — for a sharded op the
-/// scatter legs ARE the staging. Thread-compatible: one scheduler may be
-/// used from one thread at a time; shard execution itself fans out on the
-/// runtime's pool.
+/// descriptors: square OpKind::Gemm and OpKind::Gemv with the default design
+/// (hierarchical GEMM, tree GEMV: the column architecture's rows/k >=
+/// adder-depth hazard bound breaks under row splitting), both with
+/// Placement::Sram — for a sharded op the scatter legs ARE the staging.
+/// Thread-compatible: one scheduler may be used from one thread at a time;
+/// shard execution itself fans out on the runtime's pool.
 class ShardScheduler {
  public:
   /// `sys` describes the installation topology (chassis count, nodes per

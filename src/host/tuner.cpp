@@ -96,9 +96,8 @@ void add_gemv_tree(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
     c.family = TuneFamily::GemvTree;
     c.k = k;
     c.area = area.mxv_design_xd1(k);
-    // x sits next to the reduction buffers (Sec 4.2 arch 1). Callers with a
-    // blocked-x fallback (GemvAuto) charge only the resident panel, not the
-    // whole vector.
+    // x sits next to the reduction buffers (Sec 4.2 arch 1). A blocked GEMV
+    // request charges only the resident panel, not the whole vector.
     c.bram_words = reduction_buffer_words(cfg.adder_stages) + resident_x_words;
     c.required_words_per_cycle = k;  // one word of A per lane per cycle
     c.available_words_per_cycle = std::min<double>(k, cfg.sram_banks);
@@ -401,8 +400,8 @@ void probe_top(TuneResult& tr, const ContextConfig& cfg, const PlanKey& key) {
 }
 
 /// The configured design for `key`: ContextConfig's parameters for the op
-/// kind. A GEMM whose n the configured panel edge does not tile takes the
-/// largest edge that does.
+/// kind and engine request. A hierarchical GEMM whose n the configured panel
+/// edge does not tile takes the largest edge that does.
 TuneCandidate configured_candidate(const ContextConfig& cfg,
                                    const PlanKey& key) {
   switch (key.kind) {
@@ -410,28 +409,29 @@ TuneCandidate configured_candidate(const ContextConfig& cfg,
     case OpKind::DotBatch:
       return {.family = TuneFamily::Dot, .k = cfg.dot_k};
     case OpKind::Gemv:
-      return {.family = key.arch == GemvArch::Tree ? TuneFamily::GemvTree
-                                                   : TuneFamily::GemvCol,
+      return {.family = key.engine == EngineRequest::Column
+                            ? TuneFamily::GemvCol
+                            : TuneFamily::GemvTree,
               .k = cfg.gemv_k};
-    case OpKind::GemvAuto:
-      return {.family = TuneFamily::GemvTree, .k = cfg.gemv_k};
     case OpKind::Spmxv:
       return {.family = TuneFamily::Spmxv, .k = cfg.gemv_k};
     case OpKind::Gemm:
+      if (key.engine == EngineRequest::Array) {
+        return {.family = TuneFamily::MmArray, .k = cfg.mm_k, .m = cfg.mm_m};
+      }
+      if (key.engine == EngineRequest::Multi) {
+        return {.family = TuneFamily::MmMulti,
+                .k = cfg.mm_k,
+                .m = cfg.mm_m,
+                .l = cfg.mm_l,
+                .b = cfg.mm_b};
+      }
       return {.family = TuneFamily::MmHier,
               .k = cfg.mm_k,
               .m = cfg.mm_m,
               .l = cfg.mm_l,
               .b = key.n % cfg.mm_b == 0 ? cfg.mm_b
                                          : choose_panel_edge(cfg, key.n)};
-    case OpKind::GemmArray:
-      return {.family = TuneFamily::MmArray, .k = cfg.mm_k, .m = cfg.mm_m};
-    case OpKind::GemmMulti:
-      return {.family = TuneFamily::MmMulti,
-              .k = cfg.mm_k,
-              .m = cfg.mm_m,
-              .l = cfg.mm_l,
-              .b = cfg.mm_b};
   }
   return {};
 }
@@ -485,7 +485,6 @@ std::string TuneCandidate::name() const {
 TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key) {
   const machine::AreaModel area;
   TuneResult tr;
-  tr.kind = key.kind;
 
   switch (key.kind) {
     case OpKind::Dot:
@@ -498,39 +497,38 @@ TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key) {
       add_dot(tr.ranked, cfg, area, 4096);
       break;
     case OpKind::Gemv:
-      // Both Sec 4.2 architectures compete; the descriptor's arch stays the
-      // fixed-policy choice.
-      add_gemv_tree(tr.ranked, cfg, area, key.rows, key.cols, key.cols);
-      add_gemv_col(tr.ranked, cfg, area, key.rows, key.cols);
-      break;
-    case OpKind::GemvAuto:
-      // The blocked-x fallback requires the tree design's reduction circuit.
-      // When x exceeds the on-chip capacity the plan blocks it into resident
-      // panels, so only the panel is charged to BRAM — a full-cols charge
-      // would prune every design for exactly the shapes the fallback exists
-      // to serve.
-      add_gemv_tree(tr.ranked, cfg, area, key.rows, key.cols,
-                    std::min(key.cols, gemv_onchip_x_capacity(cfg)));
+      if (key.engine == EngineRequest::Blocked) {
+        // The blocked-x fallback requires the tree design's reduction
+        // circuit. When x exceeds the on-chip capacity the plan blocks it
+        // into resident panels, so only the panel is charged to BRAM — a
+        // full-cols charge would prune every design for exactly the shapes
+        // the fallback exists to serve.
+        add_gemv_tree(tr.ranked, cfg, area, key.rows, key.cols,
+                      std::min(key.cols, gemv_onchip_x_capacity(cfg)));
+      } else {
+        // Both Sec 4.2 architectures compete; the requested one stays the
+        // fixed-policy choice.
+        add_gemv_tree(tr.ranked, cfg, area, key.rows, key.cols, key.cols);
+        add_gemv_col(tr.ranked, cfg, area, key.rows, key.cols);
+      }
       break;
     case OpKind::Spmxv:
       add_spmxv(tr.ranked, cfg, area, key.rows, key.cols);
       break;
-    case OpKind::Gemm:
-      // Row-panel keys (rows != 0, the shard scheduler's sub-ops) tune
-      // within the hierarchical family only: the cycle-accurate array and
-      // multi-FPGA engines are square-only.
-      add_gemm(tr.ranked, cfg, area, key.n, key.rows == 0, true,
-               key.rows == 0);
+    case OpKind::Gemm: {
+      // An array or multi request tunes within that family; a multi request
+      // works at any l, including l = 1 (the fixed path builds that too).
+      // The default request lets all three compete, except that row-panel
+      // keys (rows != 0, the shard scheduler's sub-ops) stay hierarchical:
+      // the cycle-accurate array and multi-FPGA engines are square-only.
+      const bool open = key.engine == EngineRequest::Default;
+      const bool square = key.rows == 0;
+      add_gemm(tr.ranked, cfg, area, key.n,
+               key.engine == EngineRequest::Array || (open && square), open,
+               key.engine == EngineRequest::Multi || (open && square),
+               key.engine == EngineRequest::Multi ? 1 : 2);
       break;
-    case OpKind::GemmArray:
-      // An explicit engine request: tune within the family only.
-      add_gemm(tr.ranked, cfg, area, key.n, true, false, false);
-      break;
-    case OpKind::GemmMulti:
-      // An explicit multi-FPGA request works at any l, including l = 1
-      // (the fixed path builds that too).
-      add_gemm(tr.ranked, cfg, area, key.n, false, false, true, 1);
-      break;
+    }
   }
 
   tr.considered = tr.ranked.size();
@@ -675,7 +673,7 @@ TuneCandidate choose_design(const ContextConfig& cfg, const PlanKey& key,
       reasons += cat("\n  ", c.name(), ": ", c.why_not);
     }
     throw ConfigError(cat("tuner: no feasible design for ",
-                          op_kind_name(key.kind), reasons));
+                          op_name(key.kind, key.engine), reasons));
   }
   summary.tuned = true;
   summary.candidates = tr.considered;

@@ -1,17 +1,18 @@
 // Design-space autotuner (the selection layer Tables 3/4 and Figs 9/11/12
-// exist to motivate): given an op kind, shape, and machine configuration,
-// enumerate the legal candidate designs (engine family x k x m x l x panel
-// edge), prune them against the machine::AreaModel slice/BRAM/bank budgets,
-// rank the survivors with the src/model analytic latency formulas, and pick
-// the winner as the plan's design.
+// exist to motivate): given an op kind, engine request, shape, and machine
+// configuration, enumerate the legal candidate designs (engine family x k x
+// m x l x panel edge), prune them against the machine::AreaModel
+// slice/BRAM/bank budgets, rank the survivors with the src/model analytic
+// latency formulas, and pick the winner as the plan's design.
 //
 // Every plan runs one design, a TuneCandidate. Under TunePolicy::Fixed it is
-// the configured candidate (ContextConfig's k/m/l/b for the op kind); under
-// Model/Probe it is tune_op's winner. design_config() emits either one with
-// the ContextConfig clocks and bandwidths, so a tuned plan that lands on the
-// configured design is bit-identical (values AND cycles) to the fixed plan
-// by construction — the property the fuzz harness pins. Ranking alone uses
-// each candidate's post-P&R clock from the area model.
+// the configured candidate (ContextConfig's k/m/l/b for the op kind and the
+// requested design); under Model/Probe it is tune_op's winner.
+// design_config() emits either one with the ContextConfig clocks and
+// bandwidths, so a tuned plan that lands on the configured design is
+// bit-identical (values AND cycles) to the fixed plan by construction — the
+// property the fuzz harness pins. Ranking alone uses each candidate's
+// post-P&R clock from the area model.
 //
 // Near-ties (within cfg.tune_tie_fraction of the best modeled latency) are
 // broken by slice count, then by a cycle-accuracy preference — reproducing
@@ -75,7 +76,6 @@ struct TuneCandidate {
 };
 
 struct TuneResult {
-  OpKind kind = OpKind::Dot;
   /// Feasible candidates sorted fastest-first (model order), then the
   /// infeasible ones in enumeration order with their pruning reason.
   std::vector<TuneCandidate> ranked;

@@ -1,8 +1,10 @@
 // Full reconfigurable-system model: multiple chassis connected by RapidArray
 // external switches (Sec 6.4.2: a typical XD1 installation has 12 chassis,
-// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench
-// and the chassis-scaling example; the host shard scheduler
-// (host/shard.hpp) takes its topology and link rates from SystemConfig.
+// 4 GB/s between chassis). No run path builds a System: the multi-chassis
+// GEMM bench, the chassis-scaling example, model::project_system and the
+// host shard scheduler (host/shard.hpp) read only SystemConfig for the
+// topology and link rates. The per-tick System below is built by its tests
+// (tests/test_machine.cpp, tests/test_model.cpp) and a perfbench probe.
 //
 // Tick-ordering contract (pinned by tests/test_machine.cpp):
 // One System::tick() is one design-clock cycle for every component, advanced

@@ -268,7 +268,8 @@ std::string add_graph_node(const std::string& spec, host::Placement src,
     if (!(err = charge_elems(n * n + n, elems, limits)).empty()) return err;
     d.kind = host::OpKind::Gemv;
     d.placement = src;
-    d.arch = arch == "col" ? host::GemvArch::Column : host::GemvArch::Tree;
+    d.engine = arch == "col" ? host::EngineRequest::Column
+                             : host::EngineRequest::Default;
     d.rows = d.cols = n;
     d.a = &req.pool.emplace_back(rng.matrix(n, n));
     if (!(err = operand("x", host::OperandSlot::X, n, d.x)).empty()) return err;
@@ -574,7 +575,7 @@ std::string graph_record(const Request& req, const host::GraphOutcome& out) {
     const auto& nd = req.graph.nodes[i];
     w.begin_object();
     w.kv("name", nd.name);
-    w.kv("kind", host::op_kind_name(nd.desc.kind));
+    w.kv("kind", host::op_name(nd.desc.kind));
     if (nd.desc.kind == host::OpKind::Dot) {
       w.kv("value", out.nodes[i].values.at(0));
     }

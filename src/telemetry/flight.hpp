@@ -32,7 +32,7 @@ namespace xd::telemetry {
 /// never wait in a queue.
 struct TraceContext {
   u64 op_id = 0;            ///< process-unique, monotonic submission order
-  const char* kind = "?";   ///< op_kind_name() — static storage, never freed
+  const char* kind = "?";   ///< host::op_name() — static storage, never freed
   unsigned lane = 0;        ///< 0 = caller thread, worker w runs on lane w+1
   u64 submit_ns = 0;        ///< entered the runtime (submit()/run() call)
   u64 dequeue_ns = 0;       ///< a worker picked the job up

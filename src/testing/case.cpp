@@ -33,15 +33,22 @@ bool parse_name(const NamePair (&table)[N], std::string_view s, E& out) {
   return false;
 }
 
+// The five op kinds mirror host::OpKind, so their corpus names are the host
+// op names, aliases included; the table holds the other kinds.
+static_assert(static_cast<int>(FuzzKind::Dot) ==
+                  static_cast<int>(host::OpKind::Dot) &&
+              static_cast<int>(FuzzKind::DotBatch) ==
+                  static_cast<int>(host::OpKind::DotBatch) &&
+              static_cast<int>(FuzzKind::Gemv) ==
+                  static_cast<int>(host::OpKind::Gemv) &&
+              static_cast<int>(FuzzKind::Spmxv) ==
+                  static_cast<int>(host::OpKind::Spmxv) &&
+              static_cast<int>(FuzzKind::Gemm) ==
+                  static_cast<int>(host::OpKind::Gemm));
+
+bool is_op_kind(FuzzKind kind) { return kind <= FuzzKind::Gemm; }
+
 constexpr NamePair kKinds[] = {
-    {"dot", static_cast<int>(FuzzKind::Dot)},
-    {"dot_batch", static_cast<int>(FuzzKind::DotBatch)},
-    {"gemv", static_cast<int>(FuzzKind::Gemv)},
-    {"gemv_auto", static_cast<int>(FuzzKind::GemvAuto)},
-    {"spmxv", static_cast<int>(FuzzKind::Spmxv)},
-    {"gemm", static_cast<int>(FuzzKind::Gemm)},
-    {"gemm_array", static_cast<int>(FuzzKind::GemmArray)},
-    {"gemm_multi", static_cast<int>(FuzzKind::GemmMulti)},
     {"jacobi_batch", static_cast<int>(FuzzKind::JacobiBatch)},
     {"cg", static_cast<int>(FuzzKind::Cg)},
     {"graph", static_cast<int>(FuzzKind::Graph)},
@@ -67,13 +74,53 @@ constexpr NamePair kSabotages[] = {
     {"overflow_shape", static_cast<int>(Sabotage::OverflowShape)},
     {"sparse_structure", static_cast<int>(Sabotage::SparseStructure)},
     {"indivisible", static_cast<int>(Sabotage::Indivisible)},
+    {"design_knob", static_cast<int>(Sabotage::DesignKnob)},
 };
+
+/// Break one of the kind's design knobs, picked by the value seed so a
+/// corpus line replays the same corruption: a zero, a block edge mm_k does
+/// not divide, a panel edge short of one block column per FPGA, or a value
+/// no device holds.
+void corrupt_knob(host::ContextConfig& cfg, FuzzKind kind, u64 vseed) {
+  Rng rng(~vseed);  // a stream apart from the operand draws
+  constexpr unsigned kAbsurd = 1u << 24;
+  if (kind != FuzzKind::Gemm) {
+    const bool dot = kind == FuzzKind::Dot || kind == FuzzKind::DotBatch;
+    (dot ? cfg.dot_k : cfg.gemv_k) = rng.uniform_int(0, 1) ? kAbsurd : 0;
+    return;
+  }
+  switch (rng.uniform_int(0, 8)) {
+    case 0: cfg.mm_k = 0; break;
+    case 1: cfg.mm_m = 0; break;
+    case 2: cfg.mm_b = 0; break;
+    case 3: cfg.mm_l = 0; break;
+    case 4:
+      cfg.mm_k = 2;
+      cfg.mm_m = 3;
+      break;
+    case 5: cfg.mm_b = static_cast<std::size_t>(cfg.mm_m) * cfg.mm_l - 1; break;
+    case 6: cfg.mm_k = kAbsurd; break;
+    case 7: cfg.mm_m = kAbsurd; break;
+    default: cfg.mm_l = kAbsurd; break;
+  }
+}
 
 }  // namespace
 
-const char* fuzz_kind_name(FuzzKind kind) { return name_of(kKinds, kind); }
-bool fuzz_kind_from_name(std::string_view name, FuzzKind& out) {
-  return parse_name(kKinds, name, out);
+const char* fuzz_kind_name(FuzzKind kind, host::EngineRequest engine) {
+  return is_op_kind(kind)
+             ? host::op_name(static_cast<host::OpKind>(kind), engine)
+             : name_of(kKinds, kind);
+}
+bool fuzz_kind_from_name(std::string_view name, FuzzKind& kind,
+                         host::EngineRequest& engine) {
+  host::OpKind op;
+  if (host::op_from_name(name, op, engine)) {
+    kind = static_cast<FuzzKind>(op);
+    return true;
+  }
+  engine = host::EngineRequest::Default;
+  return parse_name(kKinds, name, kind);
 }
 const char* value_mode_name(ValueMode mode) { return name_of(kModes, mode); }
 bool value_mode_from_name(std::string_view name, ValueMode& out) {
@@ -106,18 +153,17 @@ host::ContextConfig FuzzCase::config() const {
     cfg.mm_adder_stages = std::min(cfg.mm_adder_stages, slots);
   }
   if (sram_cap) cfg.sram_capacity_words = sram_cap;
+  if (sabotage == Sabotage::DesignKnob) corrupt_knob(cfg, kind, vseed);
   return cfg;
 }
 
 std::string FuzzCase::to_line() const {
   std::ostringstream os;
-  os << "xdfuzz1 kind=" << fuzz_kind_name(kind);
+  os << "xdfuzz1 kind=" << fuzz_kind_name(kind, engine);
   if (placement != host::Placement::Sram) {
     os << " place=" << host::placement_name(placement);
   }
-  if (arch != host::GemvArch::Tree) {
-    os << " arch=" << host::gemv_arch_name(arch);
-  }
+  if (engine == host::EngineRequest::Column) os << " arch=col";
   if (mode != ValueMode::Exact) os << " mode=" << value_mode_name(mode);
   if (sabotage != Sabotage::None) os << " err=" << sabotage_name(sabotage);
   if (gform != GraphForm::Random) os << " gform=" << graph_form_name(gform);
@@ -145,6 +191,7 @@ FuzzCase FuzzCase::from_line(const std::string& line) {
 
   FuzzCase fc;
   bool have_kind = false;
+  host::GemvArch arch = host::GemvArch::Tree;
   while (ss >> tok) {
     const auto eq = tok.find('=');
     require(eq != std::string::npos && eq > 0 && eq + 1 < tok.size(),
@@ -166,14 +213,14 @@ FuzzCase FuzzCase::from_line(const std::string& line) {
     };
 
     if (key == "kind") {
-      require(fuzz_kind_from_name(val, fc.kind),
+      require(fuzz_kind_from_name(val, fc.kind, fc.engine),
               cat("fuzz case: unknown kind '", val, "'"));
       have_kind = true;
     } else if (key == "place") {
       require(host::placement_from_name(val, fc.placement),
               cat("fuzz case: unknown placement '", val, "'"));
     } else if (key == "arch") {
-      require(host::gemv_arch_from_name(val, fc.arch),
+      require(host::gemv_arch_from_name(val, arch),
               cat("fuzz case: unknown arch '", val, "'"));
     } else if (key == "mode") {
       require(value_mode_from_name(val, fc.mode),
@@ -215,6 +262,12 @@ FuzzCase FuzzCase::from_line(const std::string& line) {
     }
   }
   require(have_kind, "fuzz case: missing kind=");
+  // arch=col names the column design of a plain gemv (tokens come in any
+  // order, so it is applied once the kind is known).
+  if (arch == host::GemvArch::Column && fc.kind == FuzzKind::Gemv &&
+      fc.engine == host::EngineRequest::Default) {
+    fc.engine = host::EngineRequest::Column;
+  }
   return fc;
 }
 
@@ -453,8 +506,7 @@ void materialize(const FuzzCase& fc, CaseData& data) {
       }
       break;
     }
-    case FuzzKind::Gemv:
-    case FuzzKind::GemvAuto: {
+    case FuzzKind::Gemv: {
       std::size_t r = fc.rows, c = fc.cols;
       if (fc.sabotage == Sabotage::ZeroShape) r = 0;
       data.a = draw_vector(rng, r * c, fc.mode);
@@ -462,9 +514,8 @@ void materialize(const FuzzCase& fc, CaseData& data) {
       if (fc.sabotage == Sabotage::OperandLength && !data.x.empty()) {
         data.x.pop_back();
       }
-      data.desc = fc.kind == FuzzKind::Gemv
-                      ? OpDesc::gemv(data.a, r, c, data.x, fc.placement, fc.arch)
-                      : OpDesc::gemv_auto(data.a, r, c, data.x);
+      data.desc = OpDesc::gemv(data.a, r, c, data.x, fc.placement);
+      data.desc.engine = fc.engine;
       if (fc.sabotage == Sabotage::OverflowShape) {
         // rows * cols wraps size_t to 0 == a.size(): without the validate()
         // overflow check the engine would walk 2^63 rows of nothing.
@@ -499,9 +550,7 @@ void materialize(const FuzzCase& fc, CaseData& data) {
       data.desc = OpDesc::spmxv(data.sparse, data.x);
       break;
     }
-    case FuzzKind::Gemm:
-    case FuzzKind::GemmArray:
-    case FuzzKind::GemmMulti: {
+    case FuzzKind::Gemm: {
       std::size_t edge = fc.n;
       if (fc.sabotage == Sabotage::ZeroShape) edge = 0;
       if (fc.sabotage == Sabotage::Indivisible) edge = fc.n + 1;
@@ -510,11 +559,8 @@ void materialize(const FuzzCase& fc, CaseData& data) {
       if (fc.sabotage == Sabotage::OperandLength && !data.b.empty()) {
         data.b.pop_back();
       }
-      data.desc = fc.kind == FuzzKind::Gemm
-                      ? OpDesc::gemm(data.a, data.b, edge)
-                      : (fc.kind == FuzzKind::GemmArray
-                             ? OpDesc::gemm_array(data.a, data.b, edge)
-                             : OpDesc::gemm_multi(data.a, data.b, edge));
+      data.desc = OpDesc::gemm(data.a, data.b, edge);
+      data.desc.engine = fc.engine;
       if (fc.sabotage == Sabotage::OverflowShape) {
         data.a.clear();
         data.b.clear();
@@ -549,8 +595,7 @@ void materialize(const FuzzCase& fc, CaseData& data) {
       } else {
         data.a = draw_vector(rng, fc.rows * fc.cols, fc.mode);
         data.x = draw_vector(rng, fc.cols, fc.mode);
-        data.desc = OpDesc::gemv(data.a, fc.rows, fc.cols, data.x,
-                                 host::Placement::Sram, host::GemvArch::Tree);
+        data.desc = OpDesc::gemv(data.a, fc.rows, fc.cols, data.x);
       }
       break;
     }

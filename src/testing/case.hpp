@@ -5,8 +5,8 @@
 //
 // The split from the generator/checker (fuzz.hpp) matters: a corpus entry
 // must replay years later without the generator that produced it, so the
-// line format encodes everything (shapes, placement, arch, machine knobs,
-// value mode, value seed, expected-failure marker) and materialize()
+// line format encodes everything (shapes, placement, engine request, machine
+// knobs, value mode, value seed, expected-failure marker) and materialize()
 // rebuilds the operand data from the value seed alone.
 #pragma once
 
@@ -22,9 +22,10 @@
 
 namespace xd::testing {
 
-/// Everything the fuzzer can exercise: the eight OpDesc kinds, the two
-/// solver drivers (which run *through* the runtime but are checked with
-/// solver-level invariants), fused op graphs (small DAGs over the fusable
+/// Everything the fuzzer can exercise: the five OpDesc kinds (with their
+/// engine requests in FuzzCase::engine), the two solver drivers (which run
+/// *through* the runtime but are checked with solver-level invariants),
+/// fused op graphs (small DAGs over the fusable
 /// kinds, checked fused-vs-unfused), and sharded multi-FPGA execution
 /// (a GEMM or tree GEMV re-run through host::ShardScheduler at l in
 /// {1, 2, 3, 6}, checked bit-identical to the single-device run).
@@ -32,19 +33,21 @@ enum class FuzzKind {
   Dot,
   DotBatch,
   Gemv,
-  GemvAuto,
   Spmxv,
   Gemm,
-  GemmArray,
-  GemmMulti,
   JacobiBatch,
   Cg,
   Graph,
   Sharded,
 };
 
-const char* fuzz_kind_name(FuzzKind kind);
-bool fuzz_kind_from_name(std::string_view name, FuzzKind& out);
+/// The corpus name of (kind, request). The op kinds use the host op names,
+/// aliases included (gemv_auto, gemm_array, gemm_multi); a column GEMV is
+/// "gemv" plus an arch=col token.
+const char* fuzz_kind_name(
+    FuzzKind kind, host::EngineRequest engine = host::EngineRequest::Default);
+bool fuzz_kind_from_name(std::string_view name, FuzzKind& kind,
+                         host::EngineRequest& engine);
 
 /// Shape of a FuzzKind::Graph case. The two named forms mirror the fused
 /// chains the solvers actually run (CG's GEMV->DOT step, Jacobi's shared-A
@@ -73,8 +76,9 @@ const char* value_mode_name(ValueMode mode);
 bool value_mode_from_name(std::string_view name, ValueMode& out);
 
 /// Ways an intentionally malformed case is broken. Every sabotage must
-/// surface as ConfigError — through run() and through submit() futures —
-/// never as a crash, hang, or SimError.
+/// surface as ConfigError — through run(), submit() futures and run_batch()
+/// — never as a crash, hang, or SimError. A DesignKnob sabotage is refused
+/// where the configuration enters, before any of them can be reached.
 enum class Sabotage {
   None,
   OperandLength,   ///< an operand vector shorter than the declared shape
@@ -82,6 +86,7 @@ enum class Sabotage {
   OverflowShape,   ///< rows*cols (or n*n) wraps size_t
   SparseStructure, ///< corrupted CRS (row_ptr/col_idx inconsistencies)
   Indivisible,     ///< GEMM n incompatible with the configured m/b tiling
+  DesignKnob,      ///< one engine knob zero, not dividing, or absurdly large
 };
 
 const char* sabotage_name(Sabotage s);
@@ -90,7 +95,7 @@ bool sabotage_from_name(std::string_view name, Sabotage& out);
 struct FuzzCase {
   FuzzKind kind = FuzzKind::Dot;
   host::Placement placement = host::Placement::Sram;
-  host::GemvArch arch = host::GemvArch::Tree;
+  host::EngineRequest engine = host::EngineRequest::Default;
   ValueMode mode = ValueMode::Exact;
   Sabotage sabotage = Sabotage::None;
 
@@ -121,7 +126,8 @@ struct FuzzCase {
 
   /// The machine configuration this case runs against. mm_adder_stages is
   /// clamped to the m^2/k accumulation-slot bound so every generated PE
-  /// geometry is constructible.
+  /// geometry is constructible. A DesignKnob sabotage then corrupts one of
+  /// the kind's knobs, chosen by the value seed.
   host::ContextConfig config() const;
 
   /// One corpus line: `xdfuzz1 kind=... [key=value ...]`. Defaulted fields

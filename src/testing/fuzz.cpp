@@ -82,38 +82,46 @@ std::optional<std::string> outcome_diff(const Outcome& want,
 
 std::optional<CheckFailure> check_error_paths(const FuzzCase& fc,
                                               CaseData& data) {
-  Runtime rt(fc.config());
-
-  try {
-    rt.run(data.desc);
-    return CheckFailure{"error-path",
-                        cat("run() accepted a malformed descriptor (",
-                            sabotage_name(fc.sabotage), ")")};
-  } catch (const ConfigError&) {
-    // expected
-  } catch (const std::exception& e) {
-    return CheckFailure{"error-path",
-                        cat("run() threw non-ConfigError: ", e.what())};
+  const host::ContextConfig cfg = fc.config();
+  std::optional<Runtime> rt;
+  std::vector<std::pair<const char*, std::function<void()>>> attempts;
+  if (fc.sabotage == Sabotage::DesignKnob) {
+    // A corrupted knob is refused where the configuration enters: no
+    // Runtime (or Context) exists to run(), submit() or run_batch() on, and
+    // no plan is built from it under either policy.
+    attempts = {
+        {"Runtime", [&] { Runtime bad(cfg); }},
+        {"build_plan",
+         [&] { host::build_plan(cfg, host::PlanKey::from(data.desc)); }},
+        {"tuned build_plan", [&] {
+           host::build_plan(
+               cfg, host::PlanKey::from(data.desc, host::TunePolicy::Model));
+         }}};
+  } else {
+    rt.emplace(cfg);
+    attempts = {{"run()", [&] { rt->run(data.desc); }},
+                {"submit()", [&] { rt->submit(data.desc).get(); }},
+                {"run_batch()", [&] { rt->run_batch({data.desc}); }}};
+  }
+  for (const auto& [where, attempt] : attempts) {
+    try {
+      attempt();
+      return CheckFailure{"error-path",
+                          cat(where, " accepted a malformed case (",
+                              sabotage_name(fc.sabotage), ")")};
+    } catch (const ConfigError&) {
+      // expected
+    } catch (const std::exception& e) {
+      return CheckFailure{"error-path",
+                          cat(where, " threw non-ConfigError: ", e.what())};
+    }
   }
 
-  try {
-    rt.submit(data.desc).get();
+  if (rt && (rt->stats().failed != 3 || rt->stats().completed != 0)) {
     return CheckFailure{"error-path",
-                        cat("submit() future delivered an Outcome for a "
-                            "malformed descriptor (",
-                            sabotage_name(fc.sabotage), ")")};
-  } catch (const ConfigError&) {
-    // expected
-  } catch (const std::exception& e) {
-    return CheckFailure{"error-path",
-                        cat("submit() threw non-ConfigError: ", e.what())};
-  }
-
-  const auto stats = rt.stats();
-  if (stats.failed != 2 || stats.completed != 0) {
-    return CheckFailure{"error-path",
-                        cat("runtime stats after two failures: failed=",
-                            stats.failed, " completed=", stats.completed)};
+                        cat("runtime stats after three failures: failed=",
+                            rt->stats().failed,
+                            " completed=", rt->stats().completed)};
   }
   return std::nullopt;
 }
@@ -125,13 +133,10 @@ OracleVec oracle_for(const FuzzCase& fc, const CaseData& data) {
     case FuzzKind::DotBatch:
       return oracle_dot(data.us, data.vs);
     case FuzzKind::Gemv:
-    case FuzzKind::GemvAuto:
       return oracle_gemv(data.a, data.desc.rows, data.desc.cols, data.x);
     case FuzzKind::Spmxv:
       return oracle_spmxv(data.sparse, data.x);
     case FuzzKind::Gemm:
-    case FuzzKind::GemmArray:
-    case FuzzKind::GemmMulti:
       return oracle_gemm(data.a, data.b, data.desc.n);
     default:
       return {};
@@ -182,20 +187,19 @@ std::optional<FuzzCase> size_sibling(const FuzzCase& fc) {
       sib.cols = fc.cols / 2;
       return sib;
     case FuzzKind::Gemv:
-      if (fc.arch != host::GemvArch::Tree) return std::nullopt;
+      if (fc.engine != host::EngineRequest::Default) return std::nullopt;
       if (fc.rows < 2) return std::nullopt;
       sib.rows = fc.rows / 2;
       return sib;
-    case FuzzKind::Gemm:
-    case FuzzKind::GemmArray:
-    case FuzzKind::GemmMulti: {
+    case FuzzKind::Gemm: {
       const host::ContextConfig cfg = fc.config();
       const std::size_t half = fc.n / 2;
       if (half == 0 || half % cfg.mm_m != 0) return std::nullopt;
-      if (fc.kind == FuzzKind::GemmMulti && half % cfg.mm_b != 0) {
+      if (fc.engine == host::EngineRequest::Multi && half % cfg.mm_b != 0) {
         return std::nullopt;
       }
-      if (fc.kind == FuzzKind::Gemm && fc.mm_b && half % fc.mm_b != 0) {
+      if (fc.engine == host::EngineRequest::Default && fc.mm_b &&
+          half % fc.mm_b != 0) {
         // Keep the panel edge valid by halving it alongside n when it was
         // pinned to n; otherwise let choose_panel_edge re-derive it.
         if (fc.mm_b == fc.n) {
@@ -432,7 +436,7 @@ std::optional<CheckFailure> check_op(const FuzzCase& fc, CaseData& data) {
   // doubles bandwidth and compute together. Guarded to streaming-dominated
   // shapes — for tiny matrices the constant pipeline/reduction tail
   // (~2*alpha^2 cycles) dominates and the model makes no promise.
-  if (fc.kind == FuzzKind::Gemv && fc.arch == host::GemvArch::Tree) {
+  if (fc.kind == FuzzKind::Gemv && fc.engine == host::EngineRequest::Default) {
     const unsigned k = fc.gemv_k ? fc.gemv_k : 4;
     if (k <= 8 && fc.rows * fc.cols >= 8192) {
       FuzzCase wide = fc;
@@ -890,19 +894,20 @@ FuzzCase generate_case(u64 seed, u64 index) {
   FuzzCase fc;
   fc.vseed = rng.next_u64() | 1;
 
+  using host::EngineRequest;
   const u64 kind_roll = rng.uniform_int(1, 100);
   if (kind_roll <= 16) fc.kind = FuzzKind::Dot;
   else if (kind_roll <= 24) fc.kind = FuzzKind::DotBatch;
-  else if (kind_roll <= 42) fc.kind = FuzzKind::Gemv;
-  else if (kind_roll <= 48) fc.kind = FuzzKind::GemvAuto;
+  else if (kind_roll <= 48) fc.kind = FuzzKind::Gemv;
   else if (kind_roll <= 62) fc.kind = FuzzKind::Spmxv;
-  else if (kind_roll <= 72) fc.kind = FuzzKind::Gemm;
-  else if (kind_roll <= 80) fc.kind = FuzzKind::GemmArray;
-  else if (kind_roll <= 86) fc.kind = FuzzKind::GemmMulti;
+  else if (kind_roll <= 86) fc.kind = FuzzKind::Gemm;
   else if (kind_roll <= 92) fc.kind = FuzzKind::JacobiBatch;
   else if (kind_roll <= 95) fc.kind = FuzzKind::Graph;
   else if (kind_roll <= 98) fc.kind = FuzzKind::Sharded;
   else fc.kind = FuzzKind::Cg;
+  if (kind_roll > 42 && kind_roll <= 48) fc.engine = EngineRequest::Blocked;
+  if (kind_roll > 72 && kind_roll <= 80) fc.engine = EngineRequest::Array;
+  if (kind_roll > 80 && kind_roll <= 86) fc.engine = EngineRequest::Multi;
 
   fc.mode = is_solver(fc.kind) ? ValueMode::Uniform : pick_mode(rng);
   const bool sabotaged = !is_solver(fc.kind) && rng.uniform_int(1, 100) <= 12;
@@ -914,51 +919,48 @@ FuzzCase generate_case(u64 seed, u64 index) {
       fc.dot_k = ks[rng.uniform_int(0, 3)];
       if (rng.uniform_int(1, 100) <= 30) fc.placement = host::Placement::Dram;
       if (sabotaged) {
-        fc.sabotage =
-            pick_sabotage(rng, {Sabotage::OperandLength, Sabotage::ZeroShape});
+        fc.sabotage = pick_sabotage(rng, {Sabotage::OperandLength,
+                                          Sabotage::ZeroShape,
+                                          Sabotage::DesignKnob});
       }
       break;
     }
     case FuzzKind::DotBatch: {
       fc.batch = static_cast<std::size_t>(rng.uniform_int(1, 6));
       if (sabotaged) {
-        fc.sabotage =
-            pick_sabotage(rng, {Sabotage::OperandLength, Sabotage::ZeroShape});
+        fc.sabotage = pick_sabotage(rng, {Sabotage::OperandLength,
+                                          Sabotage::ZeroShape,
+                                          Sabotage::DesignKnob});
       }
       break;
     }
     case FuzzKind::Gemv: {
-      const unsigned ks[] = {0, 1, 2, 8};
-      fc.gemv_k = ks[rng.uniform_int(0, 3)];
-      const unsigned k_eff = fc.gemv_k ? fc.gemv_k : 4;
-      fc.rows = static_cast<std::size_t>(rng.uniform_int(1, 192));
-      fc.cols = static_cast<std::size_t>(rng.uniform_int(1, 128));
-      if (rng.uniform_int(1, 100) <= 25) {
-        // The column design re-reads each y intermediate every
-        // ceil(rows/k) cycles; keep that above the adder depth.
-        fc.arch = host::GemvArch::Column;
-        fc.rows = std::max<std::size_t>(
-            fc.rows, 14ull * k_eff + rng.uniform_int(0, 24));
+      if (fc.engine == EngineRequest::Blocked) {
+        fc.rows = static_cast<std::size_t>(rng.uniform_int(1, 3));
+        // ~20% of cases push x past the on-chip capacity (65016 words on
+        // the default XC2VP50) to exercise the blocked fallback.
+        fc.cols = rng.uniform_int(1, 100) <= 20
+                      ? static_cast<std::size_t>(rng.uniform_int(65017, 68000))
+                      : static_cast<std::size_t>(rng.uniform_int(8, 4096));
+      } else {
+        const unsigned ks[] = {0, 1, 2, 8};
+        fc.gemv_k = ks[rng.uniform_int(0, 3)];
+        const unsigned k_eff = fc.gemv_k ? fc.gemv_k : 4;
+        fc.rows = static_cast<std::size_t>(rng.uniform_int(1, 192));
+        fc.cols = static_cast<std::size_t>(rng.uniform_int(1, 128));
+        if (rng.uniform_int(1, 100) <= 25) {
+          // The column design re-reads each y intermediate every
+          // ceil(rows/k) cycles; keep that above the adder depth.
+          fc.engine = EngineRequest::Column;
+          fc.rows = std::max<std::size_t>(
+              fc.rows, 14ull * k_eff + rng.uniform_int(0, 24));
+        }
+        if (rng.uniform_int(1, 100) <= 30) fc.placement = host::Placement::Dram;
       }
-      if (rng.uniform_int(1, 100) <= 30) fc.placement = host::Placement::Dram;
       if (sabotaged) {
         fc.sabotage =
             pick_sabotage(rng, {Sabotage::OperandLength, Sabotage::ZeroShape,
-                                Sabotage::OverflowShape});
-      }
-      break;
-    }
-    case FuzzKind::GemvAuto: {
-      fc.rows = static_cast<std::size_t>(rng.uniform_int(1, 3));
-      // ~20% of cases push x past the on-chip capacity (65016 words on the
-      // default XC2VP50) to exercise the blocked fallback.
-      fc.cols = rng.uniform_int(1, 100) <= 20
-                    ? static_cast<std::size_t>(rng.uniform_int(65017, 68000))
-                    : static_cast<std::size_t>(rng.uniform_int(8, 4096));
-      if (sabotaged) {
-        fc.sabotage =
-            pick_sabotage(rng, {Sabotage::OperandLength, Sabotage::ZeroShape,
-                                Sabotage::OverflowShape});
+                                Sabotage::OverflowShape, Sabotage::DesignKnob});
       }
       break;
     }
@@ -972,17 +974,17 @@ FuzzCase generate_case(u64 seed, u64 index) {
       if (sabotaged) {
         fc.sabotage =
             pick_sabotage(rng, {Sabotage::OperandLength, Sabotage::ZeroShape,
-                                Sabotage::SparseStructure});
+                                Sabotage::SparseStructure,
+                                Sabotage::DesignKnob});
       }
       break;
     }
-    case FuzzKind::Gemm:
-    case FuzzKind::GemmArray:
-    case FuzzKind::GemmMulti: {
+    case FuzzKind::Gemm: {
+      const bool multi = fc.engine == EngineRequest::Multi;
       const unsigned ms[] = {2, 4, 8};
       unsigned m = ms[rng.uniform_int(0, 2)];
       unsigned l = 1;
-      if (fc.kind == FuzzKind::GemmMulti) {
+      if (multi) {
         m = rng.uniform_int(0, 1) ? 4 : 8;
         l = static_cast<unsigned>(rng.uniform_int(1, 3));
       }
@@ -991,7 +993,7 @@ FuzzCase generate_case(u64 seed, u64 index) {
       fc.mm_m = m;
       fc.mm_k = k;
       fc.mm_l = l;
-      if (fc.kind == FuzzKind::GemmMulti) {
+      if (multi) {
         fc.mm_b = static_cast<std::size_t>(m) * l *
                   static_cast<std::size_t>(rng.uniform_int(1, 2));
         fc.n = fc.mm_b * static_cast<std::size_t>(rng.uniform_int(1, 2));
@@ -1004,7 +1006,8 @@ FuzzCase generate_case(u64 seed, u64 index) {
       if (sabotaged) {
         fc.sabotage = pick_sabotage(
             rng, {Sabotage::OperandLength, Sabotage::ZeroShape,
-                  Sabotage::OverflowShape, Sabotage::Indivisible});
+                  Sabotage::OverflowShape, Sabotage::Indivisible,
+                  Sabotage::DesignKnob});
       }
       break;
     }
@@ -1083,7 +1086,7 @@ namespace {
 u64 shrink_measure(const FuzzCase& fc) {
   u64 m = fc.rows + fc.cols + fc.n + fc.batch + fc.nnz_per_row;
   if (fc.placement != host::Placement::Sram) ++m;
-  if (fc.arch != host::GemvArch::Tree) ++m;
+  if (fc.engine == host::EngineRequest::Column) ++m;
   m += static_cast<u64>(fc.mode);
   m += (fc.dot_k ? 1 : 0) + (fc.gemv_k ? 1 : 0) + (fc.mm_k ? 1 : 0) +
        (fc.mm_m ? 1 : 0) + (fc.mm_b ? 1 : 0) + (fc.mm_l ? 1 : 0);
@@ -1117,9 +1120,9 @@ std::vector<FuzzCase> shrink_candidates(const FuzzCase& fc) {
     c.placement = host::Placement::Sram;
     push(c);
   }
-  if (fc.arch != host::GemvArch::Tree) {
+  if (fc.engine == host::EngineRequest::Column) {
     FuzzCase c = fc;
-    c.arch = host::GemvArch::Tree;
+    c.engine = host::EngineRequest::Default;
     push(c);
   }
   if (fc.mode == ValueMode::Extreme) {

@@ -20,8 +20,10 @@
 //   pe-monotone     cycles do not increase when the GEMV PE count doubles
 //                   (bandwidth scales with k on that design), guarded to
 //                   streaming-dominated shapes where the model guarantees it
-//   error-path      sabotaged cases throw ConfigError through run() AND
-//                   through submit() futures — never a crash or SimError
+//   error-path      sabotaged cases throw ConfigError through run(),
+//                   submit() futures and run_batch() — never a crash or
+//                   SimError; a corrupted design knob is refused when the
+//                   Runtime, a Context or a plan is built from it
 //   solver          jacobi_dense_batch == per-rhs jacobi_dense bitwise;
 //                   cg_dense is deterministic, converges, and its reported
 //                   residual matches an independent recomputation

@@ -59,7 +59,7 @@ TEST(FuzzCaseIo, LineRoundTripsEveryField) {
     EXPECT_EQ(back.to_line(), fc.to_line());
     EXPECT_EQ(back.kind, fc.kind);
     EXPECT_EQ(back.placement, fc.placement);
-    EXPECT_EQ(back.arch, fc.arch);
+    EXPECT_EQ(back.engine, fc.engine);
     EXPECT_EQ(back.mode, fc.mode);
     EXPECT_EQ(back.sabotage, fc.sabotage);
     EXPECT_EQ(back.rows, fc.rows);

@@ -230,3 +230,36 @@ TEST(Context, SpmxvThroughApi) {
   Context small(tiny);
   EXPECT_THROW(small.spmxv(m, x), ConfigError);
 }
+
+TEST(Context, RefusesBadDesignKnobs) {
+  // Every design knob is checked where a configuration enters: zeros,
+  // an m that k does not divide, a panel edge short of one block column per
+  // FPGA, values no device holds, and non-positive clocks or bandwidths.
+  EXPECT_NO_THROW(ContextConfig{}.validate());
+  const auto refused = [](auto&& corrupt) {
+    ContextConfig cfg;
+    corrupt(cfg);
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    EXPECT_THROW(Context ctx(cfg), ConfigError);
+  };
+  refused([](ContextConfig& c) { c.dot_k = 0; });
+  refused([](ContextConfig& c) { c.gemv_k = 0; });
+  refused([](ContextConfig& c) { c.mm_k = 0; });
+  refused([](ContextConfig& c) { c.mm_m = 0; });
+  refused([](ContextConfig& c) { c.mm_l = 0; });
+  refused([](ContextConfig& c) { c.mm_b = 0; });
+  refused([](ContextConfig& c) { c.mm_m = 12; });  // k = 8 does not divide
+  refused([](ContextConfig& c) { c.mm_l = 65; });  // b = 512 < m * l = 520
+  refused([](ContextConfig& c) { c.gemv_k = 1u << 24; });  // > device slices
+  refused([](ContextConfig& c) { c.mm_m = 1u << 16; });    // > device BRAM
+  refused([](ContextConfig& c) { c.mm_clock_mhz = 0.0; });
+  refused([](ContextConfig& c) { c.dot_mem_bytes_per_s = -1.0; });
+  refused([](ContextConfig& c) { c.mm_link_bytes_per_s = INFINITY; });
+  // The paper's own extremes stay legal: m = 128 (Fig 9), b = m * l.
+  ContextConfig edge;
+  edge.mm_k = 8;
+  edge.mm_m = 128;
+  edge.mm_b = 256;
+  edge.mm_l = 2;
+  EXPECT_NO_THROW(edge.validate());
+}

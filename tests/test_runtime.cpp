@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <type_traits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -494,8 +493,35 @@ TEST(Runtime, ContextFacadeSharesTheRuntime) {
   EXPECT_GE(ctx.runtime().plan_cache().hits(), 1u);
 }
 
-// DotCall is the deprecated source-compatibility alias for DotResult.
-static_assert(std::is_same_v<host::DotCall, host::DotResult>);
+TEST(Runtime, EngineRequestIsADesignOfItsKind) {
+  // Every op name is a (kind, request) pair and round-trips; the aliases
+  // name the non-default designs.
+  for (const char* name : {"dot", "dot_batch", "gemv", "gemv_auto", "spmxv",
+                           "gemm", "gemm_array", "gemm_multi"}) {
+    host::OpKind kind;
+    host::EngineRequest engine;
+    ASSERT_TRUE(host::op_from_name(name, kind, engine)) << name;
+    EXPECT_STREQ(host::op_name(kind, engine), name);
+  }
+  EXPECT_STREQ(host::op_name(host::OpKind::Gemv, host::EngineRequest::Column),
+               "gemv");
+
+  // A request the kind has no design for is refused before any plan.
+  Rng rng(11);
+  const auto a = rng.matrix(8, 8);
+  const auto x = rng.vector(8);
+  Runtime rt(ContextConfig{});
+  OpDesc dot = OpDesc::dot(x, x);
+  dot.engine = host::EngineRequest::Array;
+  EXPECT_THROW(rt.run(dot), ConfigError);
+  OpDesc gemv = OpDesc::gemv(a, 8, 8, x);
+  gemv.engine = host::EngineRequest::Multi;
+  EXPECT_THROW(rt.run(gemv), ConfigError);
+  OpDesc gemm = OpDesc::gemm(a, a, 8);
+  gemm.engine = host::EngineRequest::Blocked;
+  EXPECT_THROW(rt.run(gemm), ConfigError);
+  EXPECT_EQ(rt.plan_cache().size(), 0u);
+}
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {

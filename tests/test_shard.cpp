@@ -375,6 +375,11 @@ TEST(ShardPlan, RejectsUnshardableDescriptors) {
   EXPECT_THROW(sched.plan(OpDesc::gemv(a, 16, 16, x, Placement::Sram,
                                        host::GemvArch::Column)),
                ConfigError);
+  // Only the default designs split: no blocked GEMV, no array or
+  // multi-FPGA GEMM.
+  EXPECT_THROW(sched.plan(OpDesc::gemv_auto(a, 16, 16, x)), ConfigError);
+  EXPECT_THROW(sched.plan(OpDesc::gemm_array(a, a, 16)), ConfigError);
+  EXPECT_THROW(sched.plan(OpDesc::gemm_multi(a, a, 16)), ConfigError);
   // Only GEMM and GEMV shard.
   EXPECT_THROW(sched.plan(OpDesc::dot(x, x)), ConfigError);
   // Panel GEMM descriptors are derived by the scheduler, not passed in.

@@ -24,7 +24,7 @@
 
 using namespace xd;
 using host::ContextConfig;
-using host::GemvArch;
+using host::EngineRequest;
 using host::OpDesc;
 using host::OpKind;
 using host::Placement;
@@ -274,10 +274,10 @@ TEST(Tuner, TunedValuesBitIdenticalToFixedOnIntegerOperands) {
     const auto fixed = fixed_rt.run(desc);
     const auto tuned = tuned_rt.run(desc);
     ASSERT_EQ(fixed.values.size(), tuned.values.size())
-        << host::op_kind_name(desc.kind);
+        << host::op_name(desc.kind);
     for (std::size_t i = 0; i < fixed.values.size(); ++i) {
       EXPECT_EQ(fixed.values[i], tuned.values[i])
-          << host::op_kind_name(desc.kind) << " element " << i;
+          << host::op_name(desc.kind) << " element " << i;
     }
   }
 }
@@ -465,10 +465,11 @@ std::string describe(const host::Plan& p) {
 
 PlanKey fixed_key(OpKind kind, std::size_t rows, std::size_t cols,
                   std::size_t n, Placement place = Placement::Sram,
-                  GemvArch arch = GemvArch::Tree, std::size_t batch = 0) {
+                  EngineRequest engine = EngineRequest::Default,
+                  std::size_t batch = 0) {
   PlanKey k = key_for(kind, rows, cols, n, TunePolicy::Fixed);
   k.placement = place;
-  k.arch = arch;
+  k.engine = engine;
   k.batch = batch;
   return k;
 }
@@ -496,12 +497,12 @@ TEST(Tuner, FixedPlanGoldenTable) {
        "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
        "staging=2095 words=2002 b=0 cap=0 blocked=0"},
       {"dot_batch sram", fixed_key(OpKind::DotBatch, 0, 0, 0, Placement::Sram,
-                                   GemvArch::Tree, 4),
+                                   EngineRequest::Default, 4),
        "dot k=2 | "
        "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
        "staging=0 words=0 b=0 cap=0 blocked=0"},
       {"dot_batch dram", fixed_key(OpKind::DotBatch, 0, 0, 0, Placement::Dram,
-                                   GemvArch::Tree, 4),
+                                   EngineRequest::Default, 4),
        "dot k=2 | "
        "clk=170 wpc=4.0441176470588234 add=14 mul=11 | "
        "staging=0 words=0 b=0 cap=0 blocked=0"},
@@ -515,20 +516,24 @@ TEST(Tuner, FixedPlanGoldenTable) {
        "clk=164 wpc=4 add=14 mul=11 | "
        "staging=212242 words=210300 b=0 cap=0 blocked=0"},
       {"gemv col sram", fixed_key(OpKind::Gemv, 300, 700, 0, Placement::Sram,
-                                  GemvArch::Column),
+                                  EngineRequest::Column),
        "gemv-col k=4 | "
        "clk=164 wpc=5 add=14 mul=11 | "
        "staging=0 words=0 b=0 cap=0 blocked=0"},
       {"gemv col dram", fixed_key(OpKind::Gemv, 300, 700, 0, Placement::Dram,
-                                  GemvArch::Column),
+                                  EngineRequest::Column),
        "gemv-col k=4 | "
        "clk=164 wpc=5 add=14 mul=11 | "
        "staging=212242 words=210300 b=0 cap=0 blocked=0"},
-      {"gemv_auto unblocked", fixed_key(OpKind::GemvAuto, 8, 2048, 0),
+      {"gemv_auto unblocked", fixed_key(OpKind::Gemv, 8, 2048, 0,
+                                                Placement::Sram,
+                                                EngineRequest::Blocked),
        "gemv-tree k=4 | "
        "clk=164 wpc=4 add=14 mul=11 | "
        "staging=0 words=0 b=0 cap=65016 blocked=0"},
-      {"gemv_auto blocked", fixed_key(OpKind::GemvAuto, 8, cap + 1, 0),
+      {"gemv_auto blocked", fixed_key(OpKind::Gemv, 8, cap + 1, 0,
+                                              Placement::Sram,
+                                              EngineRequest::Blocked),
        "gemv-tree k=4 | "
        "clk=164 wpc=4 add=14 mul=11 | "
        "staging=0 words=0 b=0 cap=65016 blocked=1"},
@@ -556,11 +561,13 @@ TEST(Tuner, FixedPlanGoldenTable) {
        "mm-hier l=1 k=8 m=8 b=96 | "
        "clk=130 dram=3.0769230769230771 link=1.9230769230769231 add=8 mul=11 | "
        "staging=0 words=0 b=96 cap=0 blocked=0"},
-      {"gemm_array", fixed_key(OpKind::GemmArray, 0, 0, 64),
+      {"gemm_array", fixed_key(OpKind::Gemm, 0, 0, 64, Placement::Sram,
+                                 EngineRequest::Array),
        "mm-array k=8 m=8 | "
        "clk=130 wpc=4 add=8 mul=11 cstore=0 | "
        "staging=0 words=0 b=0 cap=0 blocked=0"},
-      {"gemm_multi", fixed_key(OpKind::GemmMulti, 0, 0, 64),
+      {"gemm_multi", fixed_key(OpKind::Gemm, 0, 0, 64, Placement::Sram,
+                                 EngineRequest::Multi),
        "mm-multi l=1 k=8 m=8 b=512 | "
        "clk=130 dram=3.0769230769230771 link=1.9230769230769231 | "
        "staging=0 words=0 b=512 cap=0 blocked=0"},
@@ -579,7 +586,8 @@ TEST(Tuner, FixedPolicyAcceptsExactlyTheConfiguredDesign) {
   EXPECT_NO_THROW(host::build_plan(cfg, fixed_key(OpKind::Gemm, 0, 0, 0)));
   // ceil(rows/k) = 2 < adder stages: a hazard the tuner prunes.
   EXPECT_NO_THROW(host::build_plan(
-      cfg, fixed_key(OpKind::Gemv, 8, 8, 0, Placement::Sram, GemvArch::Column)));
+      cfg, fixed_key(OpKind::Gemv, 8, 8, 0, Placement::Sram,
+                     EngineRequest::Column)));
   // No multiple of m = 8 tiles n = 100.
   EXPECT_THROW(host::build_plan(cfg, fixed_key(OpKind::Gemm, 0, 0, 100)),
                ConfigError);
@@ -587,4 +595,17 @@ TEST(Tuner, FixedPolicyAcceptsExactlyTheConfiguredDesign) {
   const std::size_t cap = host::gemv_onchip_x_capacity(cfg);
   EXPECT_THROW(host::build_plan(cfg, fixed_key(OpKind::Spmxv, 4, cap + 1, 0)),
                ConfigError);
+  // A zero panel edge is a bad configuration, refused before any arithmetic
+  // on it, for every GEMM design and even for n = 0.
+  ContextConfig no_b;
+  no_b.mm_b = 0;
+  for (const EngineRequest e :
+       {EngineRequest::Default, EngineRequest::Array, EngineRequest::Multi}) {
+    EXPECT_THROW(host::build_plan(no_b, fixed_key(OpKind::Gemm, 0, 0, 8,
+                                                  Placement::Sram, e)),
+                 ConfigError);
+  }
+  EXPECT_THROW(host::build_plan(no_b, fixed_key(OpKind::Gemm, 0, 0, 0)),
+               ConfigError);
+  EXPECT_THROW(Runtime rt(no_b), ConfigError);
 }

@@ -15,8 +15,10 @@
 // Tune mode runs the design autotuner (host/tuner.hpp) for one op+shape and
 // prints the ranked candidate table: every enumerated design with its
 // modeled area, clock, latency and bandwidth need, why the infeasible ones
-// were pruned, and which design won. <op> is an op kind name (dot, gemv,
-// gemm, gemm_multi, spmxv, ...). No operands are built — tuning is a pure
+// were pruned, and which design won. <op> is one of the five op kinds (dot,
+// dot_batch, gemv, spmxv, gemm) or an alias naming a kind with an engine
+// request (gemv_auto, gemm_array, gemm_multi); the request narrows the
+// search to its design family. No operands are built — tuning is a pure
 // function of the shape and machine model, so huge shapes are fine.
 //
 // Batch mode reads one op per line (dot / gemv / gemm / spmxv with the same
@@ -160,6 +162,8 @@ int usage() {
                "       xdblas_cli batch FILE [--out FILE]\n"
                "       xdblas_cli tune <op> [--n N] [--rows R --cols C] "
                "[--l L] [--policy model|probe] [--banks B]\n"
+               "         <op>: dot dot_batch gemv spmxv gemm, or an engine "
+               "alias gemv_auto gemm_array gemm_multi\n"
                "       common flags: --seed S --json --metrics-out FILE "
                "--trace-out FILE --trace-filter STR --flight-out FILE\n"
                "       (see the file header for per-command options)\n");
@@ -389,7 +393,13 @@ int run_batch(const Args& args) {
     if (!job.req.parse_error.empty()) continue;  // emitted as error record
     host::ContextConfig cfg = job.req.cfg;
     if (want_tel) cfg.telemetry = &session;  // shards merge on completion
-    job.ctx.emplace(cfg);
+    try {
+      job.ctx.emplace(cfg);
+    } catch (const ConfigError& e) {
+      // A bad engine knob on the line (e.g. --b 0) fails that line alone.
+      job.req.parse_error = e.what();
+      continue;
+    }
     if (job.req.is_graph) {
       job.gfut = job.ctx->runtime().submit_graph(job.req.graph);
     } else {
@@ -429,19 +439,17 @@ int run_batch(const Args& args) {
 /// print the ranked candidate table (or, with --json, a machine-readable
 /// record of every candidate).
 int run_tune(const Args& args) {
-  host::OpKind kind;
-  if (!host::op_kind_from_name(args.str("op", ""), kind)) {
+  host::PlanKey key;
+  if (!host::op_from_name(args.str("op", ""), key.kind, key.engine)) {
     throw UsageError(cat("unknown op '", args.str("op", ""),
-                         "' (try dot, gemv, gemm, gemm_array, gemm_multi, "
-                         "spmxv)"));
+                         "' (try dot, dot_batch, gemv, gemv_auto, spmxv, "
+                         "gemm, gemm_array, gemm_multi)"));
   }
 
   host::ContextConfig cfg;
   cfg.sram_banks = static_cast<unsigned>(args.integer("banks", 4));
   cfg.mm_l = static_cast<unsigned>(args.integer("l", 1));
 
-  host::PlanKey key;
-  key.kind = kind;
   const auto n = static_cast<std::size_t>(args.integer("n", 1024));
   key.n = n;
   key.rows = static_cast<std::size_t>(args.integer("rows", static_cast<long long>(n)));
@@ -449,8 +457,10 @@ int run_tune(const Args& args) {
   key.batch = static_cast<std::size_t>(args.integer("batch", 0));
   key.placement = args.flag("from-dram") ? host::Placement::Dram
                                          : host::Placement::Sram;
-  key.arch = args.str("arch", "tree") == "col" ? host::GemvArch::Column
-                                               : host::GemvArch::Tree;
+  if (key.engine == host::EngineRequest::Default &&
+      key.kind == host::OpKind::Gemv && args.str("arch", "tree") == "col") {
+    key.engine = host::EngineRequest::Column;
+  }
   if (!host::tune_policy_from_name(args.str("policy", "model"), key.tune) ||
       key.tune == host::TunePolicy::Fixed) {
     throw UsageError(cat("--policy expects 'model' or 'probe', got '",
@@ -463,7 +473,7 @@ int run_tune(const Args& args) {
     telemetry::JsonWriter w;
     w.begin_object();
     w.kv("command", args.command);
-    w.kv("op", host::op_kind_name(kind));
+    w.kv("op", host::op_name(key.kind, key.engine));
     w.kv("policy", host::tune_policy_name(key.tune));
     w.kv("considered", static_cast<u64>(tr.considered));
     w.kv("feasible", static_cast<u64>(tr.feasible));
@@ -494,7 +504,8 @@ int run_tune(const Args& args) {
   }
 
   std::printf("tune %s (%s): %zu candidates, %zu feasible, %zu pruned",
-              host::op_kind_name(kind), host::tune_policy_name(key.tune),
+              host::op_name(key.kind, key.engine),
+              host::tune_policy_name(key.tune),
               tr.considered, tr.feasible, tr.pruned);
   if (tr.probed > 0) {
     std::printf(", %zu probed (%llu sim cycles)", tr.probed,
